@@ -3,9 +3,13 @@ run the full experiment grid, verify reference parameter parity, and
 inspect checkpoints.
 
 Exit codes: 0 success, 1 usage, 2 data error, 3 numeric failure,
-4 parity mismatch. ``NOWCAST_THREADS`` caps the number of grid cells
-trained concurrently (cells are independent and individually seeded, so
-the thread count never changes results).
+4 parity mismatch. ``NOWCAST_THREADS`` is the number of worker processes
+``grid`` trains its cells in (the name predates the process pool; threads
+do not overlap training, which holds the interpreter lock). Each cell
+trains on its own (train, test) pair with its own seed, so the worker
+count never changes results; at 1, the default, the cells run in order in
+this process. With more than one worker, set ``OPENBLAS_NUM_THREADS=1`` so
+BLAS threads do not oversubscribe the cores.
 """
 
 import argparse
@@ -14,8 +18,7 @@ import sys
 import time
 import warnings
 import zlib
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import models, pipeline, training
 from ._io import atomic_write_text
@@ -178,12 +181,12 @@ def _build_for_data(model_key, mode, lookback, features, seed):
     return models.build_cnn_model(mode, lookback, features, seed), ""
 
 
-def _train_config(args, seed=None):
+def _train_config(args):
     return training.TrainConfig(
         learning_rate=args.lr,
         batch_size=args.batch_size,
         epochs=args.epochs,
-        seed=args.seed if seed is None else seed,
+        seed=args.seed,
         patience=args.patience,
     )
 
@@ -258,19 +261,31 @@ class GridCell:
     error: str = ""
 
 
-def _run_cell(prepared, model_key, lookback, horizon, args):
+@dataclass(frozen=True)
+class CellSettings:
+    """What every grid cell shares, as plain values a worker can unpickle.
+    ``config.seed`` is the grid's base seed, not a cell's."""
+
+    mode: str
+    val_split: float
+    config: training.TrainConfig
+    out: str
+
+
+def _run_cell(model_key, lookback, horizon, data, settings):
+    """Train one cell on its own (train, test) pair and write its log."""
     cell = GridCell(model=model_key, lookback=lookback, horizon=horizon)
     t0 = time.perf_counter()
     try:
-        train, test = prepared[(lookback, horizon)]
-        seed = cell_seed(args.seed, model_key, lookback, horizon)
-        model, _ = _build_for_data(model_key, args.mode, lookback, train.config.features, seed)
-        fit_train, validation = _val_tail(train, args.val_split)
+        train, test = data
+        seed = cell_seed(settings.config.seed, model_key, lookback, horizon)
+        model, _ = _build_for_data(model_key, settings.mode, lookback, train.config.features, seed)
+        fit_train, validation = _val_tail(train, settings.val_split)
         log = training.fit(
             model, fit_train, validation=validation, test=test,
-            cfg=_train_config(args, seed=seed),
+            cfg=replace(settings.config, seed=seed),
         )
-        log.save(os.path.join(args.out, f"trainlog_{model_key}_L{lookback}_h{horizon}.csv"))
+        log.save(os.path.join(settings.out, f"trainlog_{model_key}_L{lookback}_h{horizon}.csv"))
         cell.metrics = log.final_test
         cell.epochs_run = len(log.records)
     except NowcastError as exc:
@@ -312,7 +327,7 @@ def _grid_table(cells, model_keys, combos):
     return "\n".join(lines) + "\n"
 
 
-def thread_count():
+def worker_count():
     raw = os.environ.get("NOWCAST_THREADS", "1")
     try:
         return max(1, int(raw))
@@ -335,11 +350,19 @@ def cmd_grid(args):
             prepared[(L, h)] = (train, test)
 
     combos = [(L, h) for L in lookbacks for h in horizons]
-    tasks = [(mk, L, h) for (L, h) in combos for mk in model_keys]
-    with ThreadPoolExecutor(max_workers=thread_count()) as pool:
-        cells = list(
-            pool.map(lambda t: _run_cell(prepared, t[0], t[1], t[2], args), tasks)
-        )
+    settings = CellSettings(args.mode, args.val_split, _train_config(args), args.out)
+    tasks = [(mk, L, h, prepared[(L, h)], settings) for (L, h) in combos for mk in model_keys]
+    workers = min(worker_count(), len(tasks))
+    if workers > 1:
+        # imported here: multiprocessing adds ~20 ms to start-up, which
+        # only a pooled grid needs
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_run_cell, *t) for t in tasks]
+            cells = [f.result() for f in futures]
+    else:
+        cells = [_run_cell(*t) for t in tasks]
 
     atomic_write_text(os.path.join(args.out, "grid.csv"), _grid_csv(cells, args.seed))
     table = _grid_table(cells, model_keys, combos)

@@ -12,15 +12,15 @@ import numpy as np
 
 from ..errors import KernelTooLarge, PoolTooLarge, ShapeMismatch
 
+CONV_CHUNK_ELEMENTS = 1 << 16   # Conv1D forward: output elements per row chunk
+
 
 def sigmoid(x):
-    """Numerically stable logistic function."""
-    out = np.empty_like(x)
+    """Numerically stable logistic function: 1 / (1 + e^-x) for x >= 0 and
+    e^x / (1 + e^x) otherwise, so exp never overflows."""
     pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(np.where(pos, -x, x))
+    return np.where(pos, 1.0, e) / (1.0 + e)
 
 
 class Layer:
@@ -351,10 +351,18 @@ class Conv1D(Layer):
         Lo = xp.shape[1] - k + 1
         kernel, bias = self.params["kernel"], self.params["bias"]
         y = np.empty((B, Lo, self.out_channels))
-        y[:] = bias
-        for j in range(k):
-            for ic in range(ci):
-                y += xp[:, j:j + Lo, ic, None] * kernel[j, ic]
+        # row chunks keep y's slice and the product buffer in cache; the
+        # tap order per output value, and so every bit, stays the same
+        rows = max(1, CONV_CHUNK_ELEMENTS // max(1, Lo * self.out_channels))
+        prod = np.empty((min(rows, B), Lo, self.out_channels))
+        for a in range(0, B, rows):
+            yc, xc = y[a:a + rows], xp[a:a + rows]
+            buf = prod[:len(yc)]
+            yc[:] = bias
+            for j in range(k):
+                for ic in range(ci):
+                    np.multiply(xc[:, j:j + Lo, ic, None], kernel[j, ic], out=buf)
+                    yc += buf
         return y
 
     def backward(self, dy):

@@ -65,6 +65,14 @@ class Observation:
     filled: bool = False
 
     def __post_init__(self):
+        # NaN compares false and would slip past ``pressure <= 0``; the
+        # humidity range check already rejects NaN and inf
+        if not math.isfinite(self.temperature):
+            raise ValueError(f"temperature {self.temperature} is not finite")
+        if not math.isfinite(self.wind_speed):
+            raise ValueError(f"wind speed {self.wind_speed} is not finite")
+        if not math.isfinite(self.pressure):
+            raise ValueError(f"pressure {self.pressure} is not finite")
         if not 0.0 <= self.humidity <= 100.0:
             raise ValueError(f"humidity {self.humidity} outside [0, 100]")
         if self.pressure <= 0.0:

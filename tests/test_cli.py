@@ -58,6 +58,19 @@ class TestPrepare:
         ])
         assert code == cli.EXIT_DATA
 
+    def test_nan_reading_is_data_error(self, csv_1000h, tmp_path, capsys):
+        with open(csv_1000h) as fh:
+            lines = fh.read().split("\n")
+        fields = lines[10].split(",")
+        fields[4] = "nan"  # temperature
+        lines[10] = ",".join(fields)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines))
+        code = main(["prepare", "--input", str(bad), "--out", str(tmp_path / "out"), "--months", "all"])
+        assert code == cli.EXIT_DATA
+        assert "line 11" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "train.nwc").exists()
+
     def test_missing_input_is_data_error(self, tmp_path):
         code = main([
             "prepare", "--input", str(tmp_path / "nope.csv"), "--out", str(tmp_path),
@@ -201,6 +214,31 @@ class TestGrid:
         assert code == 0
         rows = (out / "grid.csv").read_text().strip().split("\n")[2:]
         assert len(rows) == 4  # 2 lookbacks x 2 horizons x 1 model
+
+    def test_worker_pool_matches_in_process_run(self, tmp_path, monkeypatch):
+        # cnn at L=2 is too short for even the flat conv stack: its
+        # InputTooShort row has to come back from the worker process
+        csv_path = str(tmp_path / "short.csv")
+        synthetic.write_indian_csv(synthetic.make_series(300, seed=7, label_noise=0.05), csv_path)
+        outputs = {}
+        for workers in ("2", "1"):
+            monkeypatch.setenv("NOWCAST_THREADS", workers)
+            out = tmp_path / f"workers{workers}"
+            code = main([
+                "grid", "--input", csv_path, "--months", "all",
+                "--lookbacks", "2,24", "--horizons", "1", "--models", "cnn,bilstm",
+                "--epochs", "1", "--out", str(out),
+            ])
+            assert code == 0
+            outputs[workers] = {
+                p.name: p.read_bytes() for p in out.iterdir() if p.name != "grid_timings.txt"
+            }
+            assert len((out / "grid_timings.txt").read_text().splitlines()) == 4
+        assert outputs["2"] == outputs["1"]
+        assert {"grid.csv", "grid.txt", "trainlog_bilstm_L2_h1.csv",
+                "trainlog_cnn_L24_h1.csv", "trainlog_bilstm_L24_h1.csv"} <= set(outputs["1"])
+        rows = outputs["1"]["grid.csv"].decode().splitlines()[2:]
+        assert rows[0].startswith("cnn,2,1,nan,") and "InputTooShort" in rows[0]
 
 
 class TestUsage:

@@ -17,7 +17,7 @@ from nowcast.nn import (
     ReLU,
     Sigmoid,
 )
-from nowcast.nn.layers import formula_param_count, model_param_count
+from nowcast.nn.layers import formula_param_count, model_param_count, sigmoid
 
 
 class TestDense:
@@ -60,6 +60,23 @@ class TestActivations:
         assert np.isfinite(out).all()
         assert out[0, 0] == pytest.approx(0.0)
         assert out[0, 1] == pytest.approx(1.0)
+
+    def test_sigmoid_bits_match_masked_form(self):
+        def masked(x):  # the earlier implementation, kept as the reference
+            out = np.empty_like(x)
+            pos = x >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ex = np.exp(x[~pos])
+            out[~pos] = ex / (1.0 + ex)
+            return out
+
+        edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                          36.7, -36.7, 709.0, -745.0, 1000.0, -1000.0])
+        rng = np.random.default_rng(3)
+        for x in [edges] + [rng.standard_normal((32, 90)) * s for s in (1.0, 10.0, 100.0)]:
+            want, got = masked(x), sigmoid(x)
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestLSTMForward:
@@ -176,6 +193,16 @@ class TestConv1DForward:
                     x[b], layer.params["kernel"], layer.params["bias"], padding
                 )
                 assert np.array_equal(got[b], want)
+
+    @pytest.mark.parametrize("padding", ["valid", "same"])
+    def test_large_batch_equals_stacked_row_forwards(self, padding):
+        # 512 rows span several row chunks of the forward, the last one partial
+        rng = np.random.default_rng(17)
+        layer = Conv1D(3, 40, 5, padding=padding, rng=rng)
+        layer.params["bias"][...] = rng.standard_normal(40)
+        x = rng.standard_normal((512, 47, 3))
+        rows = np.concatenate([layer.forward(x[b:b + 1]) for b in range(512)])
+        assert np.array_equal(layer.forward(x), rows)
 
     def test_same_padding_puts_extra_zero_on_right_for_even_k(self):
         layer = Conv1D(1, 1, 2, padding="same")

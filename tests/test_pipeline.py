@@ -112,6 +112,18 @@ class TestParseIndian:
             parse_raw_csv(io.StringIO(bad))
         assert exc_info.value.line_no == 3
 
+    @pytest.mark.parametrize("row, line_no", [
+        ("2010,7,15,08:40,nan,19,74,1005,0", 3),    # temperature
+        ("2010,7,15,09:40,26,13,84,inf,1", 5),      # pressure
+        ("2010,7,15,10:10,26,nan,89,1004,1", 6),    # wind speed
+    ])
+    def test_non_finite_reading_reports_line(self, row, line_no):
+        lines = RAW_SAMPLE.split("\n")
+        lines[line_no - 1] = row
+        with pytest.raises(MalformedRow) as exc_info:
+            parse_raw_csv(io.StringIO("\n".join(lines)))
+        assert exc_info.value.line_no == line_no
+
     def test_out_of_order_rows_sorted_with_warning(self):
         lines = RAW_SAMPLE.strip().split("\n")
         shuffled = "\n".join([lines[0], lines[3], lines[1], lines[2]] + lines[4:])
