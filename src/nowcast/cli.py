@@ -86,19 +86,29 @@ def _load_series(args):
     return pipeline.parse_raw_csv(tables, schema="kaggle_city", city=args.city)
 
 
-def _prepare_datasets(series, months, lookback, horizon, split_fraction):
-    """Shared prepare logic: resample, filter, window, split, normalize.
-
-    Returns (train, test, info dict). ``series`` is the raw parsed series.
-    """
+def _hourly_stage(series, months):
+    """Resample and month-filter a parsed series once; returns the series
+    every (lookback, horizon) is windowed from and its report counts."""
     hourly = pipeline.resample_hourly(series)
-    filled = sum(1 for o in hourly.records if o.filled)
     if months is None:
         filtered = hourly
         identity_filter = True
     else:
         filtered = pipeline.filter_monsoon(hourly, months)
         identity_filter = len(set(months)) == 12
+    info = {
+        "rows_parsed": series.n_records,
+        "hourly_records": hourly.n_records,
+        "filled_hours": int(hourly.filled.sum()),
+        "segments": filtered.n_segments,
+        "identity_filter": identity_filter,
+        "months": months,
+    }
+    return filtered, info
+
+
+def _window_stage(filtered, lookback, horizon, split_fraction):
+    """Window, split, and normalize; returns (train, test, info dict)."""
     cfg = pipeline.WindowConfig(lookback=lookback, horizon=horizon)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -110,17 +120,7 @@ def _prepare_datasets(series, months, lookback, horizon, split_fraction):
     stats = pipeline.fit_normalizer(train)
     train = pipeline.apply_normalizer(train, stats)
     test = pipeline.apply_normalizer(test, stats)
-    info = {
-        "rows_parsed": series.n_records,
-        "hourly_records": hourly.n_records,
-        "filled_hours": filled,
-        "segments": len(filtered.segments),
-        "skipped_segments": skipped,
-        "identity_filter": identity_filter,
-        "months": months,
-        "config": cfg,
-        "windows": windows.n_rows,
-    }
+    info = {"skipped_segments": skipped, "config": cfg, "windows": windows.n_rows}
     return train, test, info
 
 
@@ -147,10 +147,9 @@ def _prepare_report(args, train, test, info):
 
 def cmd_prepare(args):
     series = _load_series(args)
-    months = _parse_months(args.months)
-    train, test, info = _prepare_datasets(
-        series, months, args.lookback, args.horizon, args.split
-    )
+    filtered, info = _hourly_stage(series, _parse_months(args.months))
+    train, test, window_info = _window_stage(filtered, args.lookback, args.horizon, args.split)
+    info.update(window_info)
     os.makedirs(args.out, exist_ok=True)
     pipeline.save_windowed(train, os.path.join(args.out, "train.nwc"))
     pipeline.save_windowed(test, os.path.join(args.out, "test.nwc"))
@@ -343,13 +342,9 @@ def cmd_grid(args):
     model_keys = [m.strip() for m in args.models.split(",")]
     os.makedirs(args.out, exist_ok=True)
 
-    prepared = {}
-    for L in lookbacks:
-        for h in horizons:
-            train, test, _ = _prepare_datasets(series, months, L, h, args.split)
-            prepared[(L, h)] = (train, test)
-
+    filtered, _ = _hourly_stage(series, months)
     combos = [(L, h) for L in lookbacks for h in horizons]
+    prepared = {(L, h): _window_stage(filtered, L, h, args.split)[:2] for (L, h) in combos}
     settings = CellSettings(args.mode, args.val_split, _train_config(args), args.out)
     tasks = [(mk, L, h, prepared[(L, h)], settings) for (L, h) in combos for mk in model_keys]
     workers = min(worker_count(), len(tasks))

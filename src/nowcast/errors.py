@@ -1,8 +1,22 @@
 """Exception and warning types shared across the package."""
 
 
+def _restore(cls, args):
+    exc = cls.__new__(cls)
+    exc.args = args
+    return exc
+
+
 class NowcastError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    Pickles as (type, args, attributes) without calling ``__init__`` again,
+    so subclasses whose constructors build their message from several
+    arguments cross process boundaries unchanged.
+    """
+
+    def __reduce__(self):
+        return _restore, (type(self), self.args), self.__dict__ or None
 
 
 class PipelineError(NowcastError):

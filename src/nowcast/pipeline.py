@@ -4,7 +4,10 @@ The stages compose in a fixed order: parse -> resample_hourly ->
 filter_monsoon (optional) -> make_windows -> split_chronological ->
 fit_normalizer / apply_normalizer. Every stage is a pure function of its
 inputs; series carry their records in explicit segments so gaps never get
-windowed across.
+windowed across. A series holds its records as columns (epoch-second
+stamps, a feature block, a filled mask), and the stages work on those
+arrays; ``Observation`` is the validation and convenience type for one
+record.
 
 Window rows are timestep-major: all five features for the oldest hour
 first, ending with the five features of the anchor hour, so a row is
@@ -17,8 +20,9 @@ import io
 import math
 import struct
 import warnings
-from dataclasses import dataclass, replace
-from datetime import datetime, timedelta
+from dataclasses import dataclass
+from datetime import date, datetime, timedelta
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,25 +88,65 @@ class Observation:
         return (self.temperature, self.wind_speed, self.humidity, self.pressure, float(self.rain))
 
 
-@dataclass
 class ObservationSeries:
-    """Time-ordered records grouped into gap-free segments.
+    """Time-ordered records grouped into gap-free segments, held as columns.
 
+    ``stamps`` holds int64 naive epoch seconds, ``values`` the (M, 5)
+    float64 feature block in ``FEATURES`` order and ``filled`` the
+    gap-filled mask; segment k is rows ``offsets[k]:offsets[k + 1]``.
     ``cadence`` is None for raw (possibly sub-hourly) data and one hour
     after ``resample_hourly``.
+
+    The constructor takes one list of Observation per segment (timestamps
+    are kept to the second); ``segments`` and ``records`` build them back
+    on demand.
     """
 
-    station_id: str
-    segments: list
-    cadence: timedelta | None = None
+    def __init__(self, station_id, segments=(), cadence=None):
+        segments = [list(seg) for seg in segments]
+        records = [o for seg in segments for o in seg]
+        self.station_id = station_id
+        self.cadence = cadence
+        self.stamps = np.array([_epoch_seconds(o.timestamp) for o in records], dtype=np.int64)
+        self.values = np.array([o.features() for o in records]).reshape(-1, FEATURE_COUNT)
+        self.filled = np.array([o.filled for o in records], dtype=bool)
+        self.offsets = np.cumsum([0] + [len(seg) for seg in segments], dtype=np.int64)
+
+    @classmethod
+    def from_columns(cls, station_id, stamps, values, filled, offsets, cadence=None):
+        series = cls(station_id, cadence=cadence)
+        series.stamps, series.values, series.filled, series.offsets = (
+            stamps, values, filled, offsets
+        )
+        return series
+
+    def spans(self):
+        """(start, stop) row bounds of each segment."""
+        return zip(self.offsets[:-1].tolist(), self.offsets[1:].tolist())
+
+    def _observations(self, a, b):
+        return [
+            Observation(_EPOCH + timedelta(seconds=s), t, w, hm, p, int(r), f)
+            for s, (t, w, hm, p, r), f in zip(
+                self.stamps[a:b].tolist(), self.values[a:b].tolist(), self.filled[a:b].tolist()
+            )
+        ]
+
+    @property
+    def segments(self):
+        return [self._observations(a, b) for a, b in self.spans()]
 
     @property
     def records(self):
-        return [o for seg in self.segments for o in seg]
+        return self._observations(0, self.n_records)
 
     @property
     def n_records(self):
-        return sum(len(seg) for seg in self.segments)
+        return len(self.stamps)
+
+    @property
+    def n_segments(self):
+        return len(self.offsets) - 1
 
 
 @dataclass(frozen=True)
@@ -219,36 +263,69 @@ def _as_text_lines(source):
 
 
 _EPOCH = datetime(1970, 1, 1)
+_EPOCH_ORDINAL = _EPOCH.toordinal()
+HOUR_S = 3600
+DAY_S = 86400
 
 
 def _epoch_seconds(ts):
     # timezone-free arithmetic: naive timestamps, fixed epoch
-    return int((ts - _EPOCH).total_seconds())
+    return (ts - _EPOCH) // timedelta(seconds=1)
 
 
-def _finish_series(rows, station_id):
-    """Sort, deduplicate, and wrap parsed (timestamp, Observation) rows."""
-    if not rows:
+def _finish_series(stamps, values, station_id):
+    """Sort, deduplicate, and wrap parsed stamps and flat feature values."""
+    if not stamps:
         raise NoData("no valid rows parsed")
-    times = [o.timestamp for o in rows]
-    if any(b < a for a, b in zip(times, times[1:])):
+    stamps = np.array(stamps, dtype=np.int64)
+    values = np.array(values, dtype=np.float64).reshape(-1, FEATURE_COUNT)
+    if (stamps[1:] < stamps[:-1]).any():
         warnings.warn("records out of order; sorting by timestamp", NonMonotonicWarning)
-        rows = sorted(rows, key=lambda o: o.timestamp)  # stable: file order kept among ties
-    seen = set()
-    unique = []
-    dupes = 0
-    for obs in rows:
-        if obs.timestamp in seen:
-            dupes += 1
-            continue
-        seen.add(obs.timestamp)
-        unique.append(obs)
+        order = np.argsort(stamps, kind="stable")  # stable: file order kept among ties
+        stamps, values = stamps[order], values[order]
+    first = np.ones(len(stamps), dtype=bool)
+    first[1:] = stamps[1:] != stamps[:-1]
+    dupes = len(stamps) - int(np.count_nonzero(first))
     if dupes:
         warnings.warn(
             f"{dupes} duplicate timestamp(s) collapsed to first occurrence",
             DuplicateTimestampWarning,
         )
-    return ObservationSeries(station_id=station_id, segments=[unique], cadence=None)
+        stamps, values = stamps[first], values[first]
+    n = len(stamps)
+    return ObservationSeries.from_columns(
+        station_id, stamps, values, np.zeros(n, dtype=bool), np.array([0, n]), cadence=None
+    )
+
+
+@lru_cache(maxsize=1 << 16)
+def _midnight(year, month, day):
+    """Epoch seconds at 00:00 of a date given as year, month, day fields."""
+    return (date(int(year), int(month), int(day)).toordinal() - _EPOCH_ORDINAL) * DAY_S
+
+
+@lru_cache(maxsize=1 << 16)
+def _clock(text):
+    """Seconds after midnight of an ``HH:MM`` field."""
+    hh, mm = map(int, text.strip().split(":"))
+    if not (0 <= hh <= 23 and 0 <= mm <= 59):
+        raise ValueError(text)
+    return hh * HOUR_S + mm * 60
+
+
+def _indian_row(fields, rule):
+    """One data row as an Observation; raises the ValueError or IndexError
+    that names the row's first fault."""
+    year, month, day = int(fields[0]), int(fields[1]), int(fields[2])
+    hh, mm = fields[3].strip().split(":")
+    return Observation(
+        timestamp=datetime(year, month, day, int(hh), int(mm)),
+        temperature=float(fields[4]),
+        wind_speed=float(fields[5]),
+        humidity=float(fields[6]),
+        pressure=float(fields[7]),
+        rain=binarize_rain(fields[8], rule),
+    )
 
 
 def _parse_indian(stream, station_id):
@@ -261,29 +338,34 @@ def _parse_indian(stream, station_id):
     if normalized[: len(INDIAN_HEADER)] != INDIAN_HEADER:
         raise MalformedRow(1, f"expected header {INDIAN_HEADER}, got {normalized}")
     rule = LabelRule.numeric_passthrough()
-    rows = []
+    isfinite = math.isfinite
+    stamps = []
+    values = []
     for line_no, fields in enumerate(reader, start=2):
-        if not fields or all(not f.strip() for f in fields):
-            continue
-        if len(fields) < 9:
-            raise MalformedRow(line_no, f"expected 9 columns, got {len(fields)}")
+        # fast path: plain checks on the fields; a row that fails one is
+        # skipped if blank and otherwise rebuilt as an Observation, so the
+        # error it raises carries Observation's own text
         try:
-            year, month, day = int(fields[0]), int(fields[1]), int(fields[2])
-            hh, mm = fields[3].strip().split(":")
-            ts = datetime(year, month, day, int(hh), int(mm))
-            rows.append(
-                Observation(
-                    timestamp=ts,
-                    temperature=float(fields[4]),
-                    wind_speed=float(fields[5]),
-                    humidity=float(fields[6]),
-                    pressure=float(fields[7]),
-                    rain=binarize_rain(fields[8], rule),
-                )
-            )
-        except (ValueError, IndexError) as exc:
-            raise MalformedRow(line_no, str(exc)) from None
-    return _finish_series(rows, station_id or "indian-station")
+            stamp = _midnight(fields[0], fields[1], fields[2]) + _clock(fields[3])
+            t, w, hm, p = float(fields[4]), float(fields[5]), float(fields[6]), float(fields[7])
+            r = 1.0 if float(fields[8]) != 0.0 else 0.0
+            ok = isfinite(t) and isfinite(w) and isfinite(p) and 0.0 <= hm <= 100.0 and p > 0.0
+        except (ValueError, IndexError, OverflowError):
+            ok = False
+        if not ok:
+            if not fields or all(not f.strip() for f in fields):
+                continue
+            if len(fields) < 9:
+                raise MalformedRow(line_no, f"expected 9 columns, got {len(fields)}")
+            try:
+                obs = _indian_row(fields, rule)
+            except (ValueError, IndexError) as exc:
+                raise MalformedRow(line_no, str(exc)) from None
+            stamp = _epoch_seconds(obs.timestamp)
+            t, w, hm, p, r = obs.features()
+        stamps.append(stamp)
+        values.extend((t, w, hm, p, r))
+    return _finish_series(stamps, values, station_id or "indian-station")
 
 
 def _parse_kaggle_table(stream, city, what, numeric):
@@ -325,23 +407,25 @@ def _parse_kaggle(tables, city, station_id):
     }
     shared = set.intersection(*(set(v) for v in parsed.values()))
     rule = LabelRule.keyword_match()
-    rows = []
+    stamps = []
+    values = []
     for ts in sorted(shared):
+        # strptime dominates here, so each hour is checked as an Observation
         try:
-            rows.append(
-                Observation(
-                    timestamp=ts,
-                    temperature=parsed["temperature"][ts][0],
-                    wind_speed=parsed["wind_speed"][ts][0],
-                    humidity=parsed["humidity"][ts][0],
-                    pressure=parsed["pressure"][ts][0],
-                    rain=binarize_rain(parsed["weather_description"][ts][0], rule),
-                )
+            obs = Observation(
+                timestamp=ts,
+                temperature=parsed["temperature"][ts][0],
+                wind_speed=parsed["wind_speed"][ts][0],
+                humidity=parsed["humidity"][ts][0],
+                pressure=parsed["pressure"][ts][0],
+                rain=binarize_rain(parsed["weather_description"][ts][0], rule),
             )
         except ValueError as exc:
             line_no = parsed["temperature"][ts][1]
             raise MalformedRow(line_no, str(exc)) from None
-    return _finish_series(rows, station_id or city)
+        stamps.append(_epoch_seconds(ts))
+        values.extend(obs.features())
+    return _finish_series(stamps, values, station_id or city)
 
 
 def parse_raw_csv(source, schema="indian", city=None, station_id=None):
@@ -369,10 +453,6 @@ def parse_raw_csv(source, schema="indian", city=None, station_id=None):
     raise ValueError(f"unknown schema {schema!r}")
 
 
-def _hour_floor(ts):
-    return ts.replace(minute=0, second=0, microsecond=0)
-
-
 def resample_hourly(series):
     """Reduce to one record per clock hour and make segments gap-free.
 
@@ -381,48 +461,41 @@ def resample_hourly(series):
     filled (continuous features copied, rain forced to 0, ``filled`` set);
     longer gaps split the segment.
     """
-    out_segments = []
-    for seg in series.segments:
-        if not seg:
-            continue
-        hourly = []
-        current_hour = None
-        rains = []
-        first = None
-        for obs in seg:
-            hour = _hour_floor(obs.timestamp)
-            if hour != current_hour:
-                if current_hour is not None:
-                    hourly.append(replace(first, timestamp=current_hour, rain=max(rains)))
-                current_hour = hour
-                first = obs
-                rains = [obs.rain]
-            else:
-                rains.append(obs.rain)
-        hourly.append(replace(first, timestamp=current_hour, rain=max(rains)))
+    hours = series.stamps // HOUR_S
+    lo, hi = series.offsets[:-1], series.offsets[1:]
+    seg_starts = lo[hi > lo]
+    # first record of each run of one clock hour within a segment
+    first = np.zeros(len(hours), dtype=bool)
+    first[seg_starts] = True
+    first[1:] |= hours[1:] != hours[:-1]
+    groups = np.flatnonzero(first)
+    hour = hours[groups]
+    values = series.values[groups]
+    if len(groups):
+        values[:, RAIN_INDEX] = np.maximum.reduceat(series.values[:, RAIN_INDEX], groups)
 
-        segment = [hourly[0]]
-        for obs in hourly[1:]:
-            gap = int((obs.timestamp - segment[-1].timestamp) / HOUR) - 1
-            if gap == 0:
-                segment.append(obs)
-            elif 1 <= gap <= MAX_FILL_HOURS:
-                prev = segment[-1]
-                for step in range(1, gap + 1):
-                    segment.append(
-                        replace(
-                            prev,
-                            timestamp=prev.timestamp + step * HOUR,
-                            rain=0,
-                            filled=True,
-                        )
-                    )
-                segment.append(obs)
-            else:
-                out_segments.append(segment)
-                segment = [obs]
-        out_segments.append(segment)
-    return ObservationSeries(series.station_id, out_segments, cadence=HOUR)
+    # hourly row k + 1 continues row k's segment after `gap` missing hours,
+    # unless it starts an input segment or the gap is too long (or negative)
+    gap = np.diff(hour) - 1
+    breaks = np.zeros(len(groups), dtype=bool)
+    breaks[np.searchsorted(groups, seg_starts)] = True
+    breaks[1:] |= (gap < 0) | (gap > MAX_FILL_HOURS)
+    reps = np.ones(len(groups), dtype=np.int64)
+    reps[:-1] += np.where(breaks[1:], 0, gap)
+    src = np.repeat(np.arange(len(groups)), reps)
+    pos = np.cumsum(reps) - reps  # output row of each hourly row
+    step = np.arange(len(src)) - pos[src]  # 0 for a real hour, 1.. for its fills
+    copy = step > 0
+    out = values[src]
+    out[copy, RAIN_INDEX] = 0.0
+    return ObservationSeries.from_columns(
+        series.station_id,
+        (hour[src] + step) * HOUR_S,
+        out,
+        series.filled[groups][src] | copy,
+        np.append(pos[breaks], len(src)),
+        cadence=HOUR,
+    )
 
 
 def filter_monsoon(series, months=DEFAULT_MONSOON_MONTHS):
@@ -431,20 +504,23 @@ def filter_monsoon(series, months=DEFAULT_MONSOON_MONTHS):
     months = frozenset(int(m) for m in months)
     if not months:
         raise ValueError("months must be nonempty")
-    out_segments = []
-    for seg in series.segments:
-        run = []
-        for obs in seg:
-            if obs.timestamp.month in months:
-                run.append(obs)
-            elif run:
-                out_segments.append(run)
-                run = []
-        if run:
-            out_segments.append(run)
-    if not any(out_segments):
+    month = series.stamps.astype("datetime64[s]").astype("datetime64[M]").astype(np.int64) % 12 + 1
+    keep = np.isin(month, sorted(months))
+    kept = np.flatnonzero(keep)
+    if not len(kept):
         raise NoData(f"no records in months {sorted(months)}")
-    return ObservationSeries(series.station_id, out_segments, cadence=series.cadence)
+    # a kept record starts a run after a dropped one or at a segment start
+    run_start = np.zeros(len(keep), dtype=bool)
+    run_start[series.offsets[:-1][series.offsets[:-1] < len(keep)]] = True
+    run_start[1:] |= ~keep[:-1]
+    return ObservationSeries.from_columns(
+        series.station_id,
+        series.stamps[kept],
+        series.values[kept],
+        series.filled[kept],
+        np.append(np.flatnonzero(run_start[kept]), len(kept)),
+        cadence=series.cadence,
+    )
 
 
 def make_windows(series, cfg):
@@ -463,8 +539,8 @@ def make_windows(series, cfg):
     inputs = []
     targets = []
     anchors = []
-    for seg in series.segments:
-        M = len(seg)
+    for a, b in series.spans():
+        M = b - a
         count = M - L - h + 1
         if count < 1:
             warnings.warn(
@@ -472,16 +548,11 @@ def make_windows(series, cfg):
                 SegmentTooShortWarning,
             )
             continue
-        feats = np.array([obs.features() for obs in seg])
+        feats = series.values[a:b]
         windows = np.lib.stride_tricks.sliding_window_view(feats, (L, F))[:count, 0]
         inputs.append(windows.reshape(count, L * F))
         targets.append(feats[L - 1 + h:L - 1 + h + count, RAIN_INDEX].astype(np.uint8))
-        anchors.append(
-            np.array(
-                [_epoch_seconds(obs.timestamp) for obs in seg[L - 1:L - 1 + count]],
-                dtype=np.int64,
-            )
-        )
+        anchors.append(series.stamps[a + L - 1:a + L - 1 + count])
     if not inputs:
         return WindowedDataset(
             inputs=np.zeros((0, L * F)),

@@ -6,10 +6,12 @@ against code that shares none of their structure.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from nowcast.nn import Model
+from nowcast.pipeline import HOUR, MAX_FILL_HOURS
 
 
 def scalar_sigmoid(z):
@@ -108,3 +110,75 @@ def count_windows_brute_force(segment_length, lookback, horizon):
         if t - lookback + 1 >= 0 and t + horizon <= segment_length - 1:
             count += 1
     return count
+
+
+def sort_dedupe_reference(records):
+    """Parsed records in time order, first occurrence of each timestamp kept."""
+    seen = set()
+    unique = []
+    for obs in sorted(records, key=lambda o: o.timestamp):  # stable
+        if obs.timestamp not in seen:
+            seen.add(obs.timestamp)
+            unique.append(obs)
+    return unique
+
+
+def resample_reference(segments):
+    """One Observation per clock hour, per segment: earliest record's
+    continuous features, max rain over the hour; gaps of up to
+    MAX_FILL_HOURS hours forward-filled (rain 0, ``filled`` set), longer
+    gaps split the segment. Takes and returns lists of Observation lists."""
+    out_segments = []
+    for seg in segments:
+        if not seg:
+            continue
+        hourly = []
+        current_hour = None
+        rains = []
+        first = None
+        for obs in seg:
+            hour = obs.timestamp.replace(minute=0, second=0, microsecond=0)
+            if hour != current_hour:
+                if current_hour is not None:
+                    hourly.append(replace(first, timestamp=current_hour, rain=max(rains)))
+                current_hour = hour
+                first = obs
+                rains = [obs.rain]
+            else:
+                rains.append(obs.rain)
+        hourly.append(replace(first, timestamp=current_hour, rain=max(rains)))
+
+        segment = [hourly[0]]
+        for obs in hourly[1:]:
+            gap = int((obs.timestamp - segment[-1].timestamp) / HOUR) - 1
+            if gap == 0:
+                segment.append(obs)
+            elif 1 <= gap <= MAX_FILL_HOURS:
+                prev = segment[-1]
+                for step in range(1, gap + 1):
+                    segment.append(
+                        replace(prev, timestamp=prev.timestamp + step * HOUR, rain=0, filled=True)
+                    )
+                segment.append(obs)
+            else:
+                out_segments.append(segment)
+                segment = [obs]
+        out_segments.append(segment)
+    return out_segments
+
+
+def filter_months_reference(segments, months):
+    """Records whose month is in ``months``; each retained contiguous run
+    becomes its own segment."""
+    out_segments = []
+    for seg in segments:
+        run = []
+        for obs in seg:
+            if obs.timestamp.month in months:
+                run.append(obs)
+            elif run:
+                out_segments.append(run)
+                run = []
+        if run:
+            out_segments.append(run)
+    return out_segments

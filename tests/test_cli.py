@@ -71,6 +71,19 @@ class TestPrepare:
         assert "line 11" in capsys.readouterr().err
         assert not (tmp_path / "out" / "train.nwc").exists()
 
+    def test_runs_on_columns_only(self, csv_1000h, tmp_path, monkeypatch):
+        # building one Observation per record is what the columns replace
+        def refuse(series):
+            raise AssertionError("prepare built Observation lists")
+
+        monkeypatch.setattr(pipeline.ObservationSeries, "records", property(refuse))
+        monkeypatch.setattr(pipeline.ObservationSeries, "segments", property(refuse))
+        code = main([
+            "prepare", "--input", csv_1000h, "--out", str(tmp_path), "--months", "6,7",
+        ])
+        assert code == 0
+        assert "forward-filled: 0" in (tmp_path / "report.txt").read_text()
+
     def test_missing_input_is_data_error(self, tmp_path):
         code = main([
             "prepare", "--input", str(tmp_path / "nope.csv"), "--out", str(tmp_path),
@@ -214,6 +227,18 @@ class TestGrid:
         assert code == 0
         rows = (out / "grid.csv").read_text().strip().split("\n")[2:]
         assert len(rows) == 4  # 2 lookbacks x 2 horizons x 1 model
+
+    def test_resamples_once_per_grid(self, csv_1000h, tmp_path, monkeypatch):
+        calls = []
+        resample = pipeline.resample_hourly
+        monkeypatch.setattr(pipeline, "resample_hourly", lambda s: calls.append(1) or resample(s))
+        code = main([
+            "grid", "--input", csv_1000h, "--months", "all",
+            "--lookbacks", "6,8", "--horizons", "1,2", "--models", "bilstm",
+            "--epochs", "0", "--out", str(tmp_path / "grid"),
+        ])
+        assert code == 0
+        assert len(calls) == 1
 
     def test_worker_pool_matches_in_process_run(self, tmp_path, monkeypatch):
         # cnn at L=2 is too short for even the flat conv stack: its

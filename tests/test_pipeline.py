@@ -124,6 +124,44 @@ class TestParseIndian:
             parse_raw_csv(io.StringIO("\n".join(lines)))
         assert exc_info.value.line_no == line_no
 
+    @pytest.mark.parametrize("first, second", [
+        ("2010,7,15,08:40,26,19,120,1005,0", "2010,7,15,09:40,abc,13,84,1005,1"),
+        ("2010,7,15,08:40,abc,19,74,1005,0", "2010,7,15,09:40,26,13,120,1005,1"),
+    ])
+    def test_first_bad_line_wins(self, first, second):
+        # a range violation and an unparseable float, in either order
+        lines = RAW_SAMPLE.split("\n")
+        lines[2], lines[4] = first, second
+        with pytest.raises(MalformedRow) as exc_info:
+            parse_raw_csv(io.StringIO("\n".join(lines)))
+        assert exc_info.value.line_no == 3
+
+    def test_whitespace_only_rows_skipped(self):
+        lines = RAW_SAMPLE.split("\n")
+        text = "\n".join(lines[:2] + ["   ", " , , , , , , , , ", "\t"] + lines[2:])
+        series = parse_raw_csv(io.StringIO(text))
+        assert series.n_records == 6
+
+    def _error_text(self, row):
+        lines = RAW_SAMPLE.split("\n")
+        lines[2] = row
+        with pytest.raises(MalformedRow) as exc_info:
+            parse_raw_csv(io.StringIO("\n".join(lines)))
+        return str(exc_info.value)
+
+    def test_exact_error_texts(self):
+        assert self._error_text("2010,7,15,08:40,26,19,120,1005,0") == (
+            "unparseable row at line 3: humidity 120.0 outside [0, 100]"
+        )
+        assert self._error_text("2010,7,15,08:40,26,19,74,nan,0") == (
+            "unparseable row at line 3: pressure nan is not finite"
+        )
+        with pytest.raises(ValueError) as date_error:
+            datetime(2010, 6, 31, 8, 40)  # the text is datetime's own
+        assert self._error_text("2010,6,31,08:40,26,19,74,1005,0") == (
+            f"unparseable row at line 3: {date_error.value}"
+        )
+
     def test_out_of_order_rows_sorted_with_warning(self):
         lines = RAW_SAMPLE.strip().split("\n")
         shuffled = "\n".join([lines[0], lines[3], lines[1], lines[2]] + lines[4:])

@@ -1,0 +1,276 @@
+"""Property-based checks of the pipeline laws: the columnar parse, resample
+and month filter against the scalar references in ``helpers``, the window
+count law, resample idempotence, chronological split order, the
+normalizer round trip, and the ``.nwc`` container round trip."""
+
+import io
+import math
+import os
+import tempfile
+import warnings
+from datetime import datetime, timedelta
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import (
+    count_windows_brute_force,
+    filter_months_reference,
+    resample_reference,
+    sort_dedupe_reference,
+)
+
+from nowcast.errors import (
+    CorruptContainer,
+    DuplicateTimestampWarning,
+    NoData,
+    NonMonotonicWarning,
+    SegmentTooShortWarning,
+)
+from nowcast.pipeline import (
+    HOUR,
+    INDIAN_HEADER,
+    Observation,
+    ObservationSeries,
+    SplitSpec,
+    WindowConfig,
+    apply_normalizer,
+    filter_monsoon,
+    fit_normalizer,
+    load_windowed,
+    make_windows,
+    parse_raw_csv,
+    resample_hourly,
+    save_windowed,
+    split_chronological,
+)
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+
+# starts just before month and year boundaries, and a leap day
+STARTS = [
+    datetime(2014, 12, 31, 19, 40),
+    datetime(2015, 5, 31, 21, 5),
+    datetime(2015, 9, 30, 22, 59),
+    datetime(2016, 2, 28, 23, 0),
+    datetime(2016, 6, 15, 0, 0),
+]
+
+# minutes from one CSV row to the next: duplicates and sub-hourly extras,
+# plain hours, gaps that get filled (1-6 missing hours), gaps that split
+# the series (up to ~40 days, so months go missing), and steps back in time
+STEPS = st.one_of(
+    st.integers(0, 59),
+    st.just(60),
+    st.integers(2 * 60, 7 * 60 + 59),
+    st.integers(8 * 60, 40 * 24 * 60),
+    st.integers(-180, -1),
+)
+
+RAIN_FIELDS = ("0", "1", "0.0", "2.5")
+
+
+@st.composite
+def raw_rows(draw, max_rows=80):
+    """(timestamp, temperature, wind, humidity, pressure, rain field) rows
+    in file order; the readings come from a drawn seed."""
+    t = draw(st.sampled_from(STARTS))
+    steps = draw(st.lists(STEPS, min_size=1, max_size=max_rows))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = len(steps)
+    readings = zip(
+        rng.uniform(-30.0, 50.0, n).tolist(),
+        rng.uniform(0.0, 60.0, n).tolist(),
+        rng.choice([0.0, 100.0, 55.5, *rng.uniform(0.0, 100.0, 5)], n).tolist(),
+        rng.uniform(900.0, 1100.0, n).tolist(),
+        rng.choice(RAIN_FIELDS, n).tolist(),
+    )
+    rows = []
+    for step, reading in zip(steps, readings):
+        rows.append((t, *reading))
+        t += timedelta(minutes=step)
+    return rows
+
+
+def csv_text(rows):
+    lines = [",".join(INDIAN_HEADER)]
+    for ts, temp, wind, hum, pres, rain in rows:
+        lines.append(
+            f"{ts.year},{ts.month},{ts.day},{ts.hour:02d}:{ts.minute:02d},"
+            f"{temp!r},{wind!r},{hum!r},{pres!r},{rain}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def observation(row):
+    ts, temp, wind, hum, pres, rain = row
+    return Observation(ts, temp, wind, hum, pres, int(float(rain) != 0.0))
+
+
+def parse_quietly(rows):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return parse_raw_csv(io.StringIO(csv_text(rows)))
+
+
+@st.composite
+def raw_series(draw):
+    """A parsed raw series, cut into segments at random points (empty
+    segments included), with some records marked as filled."""
+    records = parse_quietly(draw(raw_rows())).records
+    records = [
+        Observation(o.timestamp, o.temperature, o.wind_speed, o.humidity, o.pressure,
+                    o.rain, filled)
+        for o, filled in zip(records, draw(st.lists(
+            st.booleans(), min_size=len(records), max_size=len(records))))
+    ]
+    cuts = sorted(draw(st.lists(st.integers(0, len(records)), max_size=4)))
+    bounds = [0] + cuts + [len(records)]
+    return ObservationSeries("p", [records[a:b] for a, b in zip(bounds, bounds[1:])])
+
+
+@st.composite
+def hourly_series(draw):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return resample_hourly(parse_raw_csv(io.StringIO(csv_text(draw(raw_rows(200))))))
+
+
+@PROPERTY
+@given(raw_rows())
+def test_parse_sorts_and_dedupes_like_the_reference(rows):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        series = parse_raw_csv(io.StringIO(csv_text(rows)))
+    expected = sort_dedupe_reference([observation(r) for r in rows])
+    assert series.records == expected
+    assert series.segments == [expected]
+    stamps = [r[0] for r in rows]
+    unordered = any(b < a for a, b in zip(stamps, stamps[1:]))
+    dupes = len(stamps) - len(set(stamps))
+    categories = [w.category for w in caught]
+    assert (NonMonotonicWarning in categories) == unordered
+    assert (DuplicateTimestampWarning in categories) == (dupes > 0)
+    if dupes:
+        assert f"{dupes} duplicate timestamp(s)" in str(caught[-1].message)
+
+
+@PROPERTY
+@given(raw_series())
+def test_resample_matches_the_scalar_reference(series):
+    out = resample_hourly(series)
+    assert out.cadence == HOUR
+    assert out.segments == resample_reference(series.segments)
+    assert out.n_records == len(out.records)
+    assert int(out.filled.sum()) == sum(o.filled for o in out.records)
+
+
+@PROPERTY
+@given(raw_series())
+def test_resample_is_idempotent(series):
+    once = resample_hourly(series)
+    twice = resample_hourly(once)
+    assert twice.segments == once.segments
+    assert np.array_equal(twice.offsets, once.offsets)
+
+
+@PROPERTY
+@given(raw_series(), st.sets(st.integers(1, 12), min_size=1))
+def test_month_filter_matches_the_scalar_reference(series, months):
+    for s in (series, resample_hourly(series)):
+        expected = filter_months_reference(s.segments, months)
+        if not expected:
+            with pytest.raises(NoData):
+                filter_monsoon(s, months)
+            continue
+        out = filter_monsoon(s, months)
+        assert out.segments == expected
+        assert out.cadence == s.cadence
+
+
+@PROPERTY
+@given(hourly_series(), st.integers(1, 30), st.integers(1, 4))
+def test_window_count_law(series, lookback, horizon):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ds = make_windows(series, WindowConfig(lookback=lookback, horizon=horizon))
+    lengths = [len(seg) for seg in series.segments]
+    assert ds.n_rows == sum(count_windows_brute_force(M, lookback, horizon) for M in lengths)
+    assert ds.width == 5 * lookback
+    too_short = [w for w in caught if issubclass(w.category, SegmentTooShortWarning)]
+    assert len(too_short) == sum(M < lookback + horizon for M in lengths)
+    # every row's newest block is its anchor hour; its target is rain h hours on
+    by_stamp = {int((o.timestamp - datetime(1970, 1, 1)) / timedelta(seconds=1)): o
+                for o in series.records}
+    for row, target, anchor in zip(ds.inputs, ds.targets, ds.anchors):
+        assert tuple(row[-5:]) == by_stamp[int(anchor)].features()
+        assert target == by_stamp[int(anchor) + 3600 * horizon].rain
+
+
+@PROPERTY
+@given(hourly_series(), st.floats(0.05, 0.95), st.integers(0, 2**32 - 1))
+def test_split_is_chronological(series, fraction, seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ds = make_windows(series, WindowConfig(lookback=2, horizon=1))
+    n_train = math.ceil(ds.n_rows * fraction)
+    if n_train == 0 or n_train >= ds.n_rows:
+        return
+    perm = np.random.default_rng(seed).permutation(ds.n_rows)
+    ds.inputs, ds.targets, ds.anchors = ds.inputs[perm], ds.targets[perm], ds.anchors[perm]
+    train, test = split_chronological(ds, SplitSpec(train_fraction=fraction))
+    assert train.n_rows == n_train and test.n_rows == ds.n_rows - n_train
+    merged = np.concatenate([train.anchors, test.anchors])
+    assert np.array_equal(merged, np.sort(ds.anchors))
+    assert train.anchors.max() < test.anchors.min()
+
+
+@PROPERTY
+@given(hourly_series(), st.integers(1, 8))
+def test_normalizer_round_trip(series, lookback):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ds = make_windows(series, WindowConfig(lookback=lookback, horizon=1))
+    if ds.n_rows == 0:
+        return
+    stats = fit_normalizer(ds)
+    scaled = apply_normalizer(ds, stats)
+    assert scaled.inputs.min() >= 0.0 and scaled.inputs.max() <= 1.0
+    span = stats.maxs - stats.mins
+    x = ds.inputs.reshape(ds.n_rows, -1, 5)
+    back = scaled.inputs.reshape(ds.n_rows, -1, 5) * span + stats.mins
+    scale = np.maximum(np.abs(stats.mins), np.abs(stats.maxs))
+    assert np.all(np.abs(back - x) <= 1e-12 * scale + 1e-300)
+    assert np.all(scaled.inputs.reshape(ds.n_rows, -1, 5)[..., span == 0.0] == 0.0)
+
+
+@PROPERTY
+@given(hourly_series(), st.integers(1, 6), st.integers(1, 3), st.booleans(), st.data())
+def test_container_round_trip_and_truncation(series, lookback, horizon, normalize, data):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ds = make_windows(series, WindowConfig(lookback=lookback, horizon=horizon))
+    if normalize and ds.n_rows:
+        ds = apply_normalizer(ds, fit_normalizer(ds))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.nwc")
+        save_windowed(ds, path)
+        loaded = load_windowed(path)
+        assert np.array_equal(loaded.inputs, ds.inputs)
+        assert np.array_equal(loaded.targets, ds.targets)
+        assert loaded.config == ds.config
+        if ds.norm_stats is None:
+            assert loaded.norm_stats is None
+        else:
+            assert np.array_equal(loaded.norm_stats.mins, ds.norm_stats.mins)
+            assert np.array_equal(loaded.norm_stats.maxs, ds.norm_stats.maxs)
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        cut = data.draw(st.integers(0, len(blob) - 1))
+        for damaged in (blob[:cut], blob + b"\x00"):
+            with open(path, "wb") as fh:
+                fh.write(damaged)
+            with pytest.raises(CorruptContainer):
+                load_windowed(path)
