@@ -159,54 +159,15 @@ def cmd_prepare(args):
     return EXIT_OK
 
 
-def _build_for_data(model_key, mode, lookback, features, seed):
-    """Build the requested model for (lookback, features) data.
-
-    The conv stack needs a longer sequence than a 12- or 24-step
-    multichannel window provides, so canonical-mode requests for it fall
-    back to the flattened single-channel form.
-    """
-    if model_key in ("bilstm", models.BILSTM_NET, "lstm"):
-        return models.build_lstm_model(mode, lookback, features, seed), ""
-    if mode == "canonical":
-        try:
-            return models.build_cnn_model("canonical", lookback, features, seed), ""
-        except InputTooShort as exc:
-            model = models.build_cnn_model("flat", lookback, features, seed)
-            return model, (
-                f"note: lookback {lookback} is below the conv stack minimum "
-                f"{exc.min_length}; using the flattened {lookback * features}-long form"
-            )
-    return models.build_cnn_model(mode, lookback, features, seed), ""
-
-
-def _train_config(args):
-    return training.TrainConfig(
+def _run_spec(args, model_key):
+    config = training.TrainConfig(
         learning_rate=args.lr,
         batch_size=args.batch_size,
         epochs=args.epochs,
         seed=args.seed,
         patience=args.patience,
     )
-
-
-def _val_tail(train, fraction):
-    """Carve a chronological validation tail off a training dataset."""
-    if not fraction:
-        return train, None
-    n = train.n_rows
-    n_val = max(1, int(round(n * fraction)))
-    if n_val >= n:
-        raise ValueError("--val-split leaves no training rows")
-    def slice_ds(a, b):
-        return pipeline.WindowedDataset(
-            inputs=train.inputs[a:b],
-            targets=train.targets[a:b],
-            config=train.config,
-            anchors=None if train.anchors is None else train.anchors[a:b],
-            norm_stats=train.norm_stats,
-        )
-    return slice_ds(0, n - n_val), slice_ds(n - n_val, n)
+    return training.RunSpec(model_key, args.mode, args.val_split, config)
 
 
 def _print_metrics(prefix, m):
@@ -220,12 +181,9 @@ def _print_metrics(prefix, m):
 def cmd_train(args):
     train = pipeline.load_windowed(args.train)
     test = pipeline.load_windowed(args.test) if args.test else None
-    cfg = train.config
-    model, note = _build_for_data(args.model, args.mode, cfg.lookback, cfg.features, args.seed)
+    model, log, note = training.run(_run_spec(args, args.model), train, test)
     if note:
         print(note)
-    fit_train, validation = _val_tail(train, args.val_split)
-    log = training.fit(model, fit_train, validation=validation, test=test, cfg=_train_config(args))
     os.makedirs(args.out, exist_ok=True)
     save_model(model, os.path.join(args.out, "model.nwm"))
     log.save(os.path.join(args.out, "trainlog.csv"))
@@ -260,31 +218,15 @@ class GridCell:
     error: str = ""
 
 
-@dataclass(frozen=True)
-class CellSettings:
-    """What every grid cell shares, as plain values a worker can unpickle.
-    ``config.seed`` is the grid's base seed, not a cell's."""
-
-    mode: str
-    val_split: float
-    config: training.TrainConfig
-    out: str
-
-
-def _run_cell(model_key, lookback, horizon, data, settings):
-    """Train one cell on its own (train, test) pair and write its log."""
+def _run_cell(model_key, lookback, horizon, data, spec, out):
+    """Train one cell on its own (train, test) pair and write its log.
+    ``spec.config.seed`` is the grid's base seed, not the cell's."""
     cell = GridCell(model=model_key, lookback=lookback, horizon=horizon)
     t0 = time.perf_counter()
     try:
-        train, test = data
-        seed = cell_seed(settings.config.seed, model_key, lookback, horizon)
-        model, _ = _build_for_data(model_key, settings.mode, lookback, train.config.features, seed)
-        fit_train, validation = _val_tail(train, settings.val_split)
-        log = training.fit(
-            model, fit_train, validation=validation, test=test,
-            cfg=replace(settings.config, seed=seed),
-        )
-        log.save(os.path.join(settings.out, f"trainlog_{model_key}_L{lookback}_h{horizon}.csv"))
+        seed = cell_seed(spec.config.seed, model_key, lookback, horizon)
+        _, log, _ = training.run(replace(spec, config=replace(spec.config, seed=seed)), *data)
+        log.save(os.path.join(out, f"trainlog_{model_key}_L{lookback}_h{horizon}.csv"))
         cell.metrics = log.final_test
         cell.epochs_run = len(log.records)
     except NowcastError as exc:
@@ -335,26 +277,34 @@ def worker_count():
 
 
 def cmd_grid(args):
+    model_keys = [m.strip() for m in args.models.split(",")]
+    for key in model_keys:
+        models.model_name(key)  # an unknown key fails before any work
     series = _load_series(args)
     months = _parse_months(args.months)
     lookbacks = [int(v) for v in args.lookbacks.split(",")]
     horizons = [int(v) for v in args.horizons.split(",")]
-    model_keys = [m.strip() for m in args.models.split(",")]
     os.makedirs(args.out, exist_ok=True)
 
     filtered, _ = _hourly_stage(series, months)
     combos = [(L, h) for L in lookbacks for h in horizons]
     prepared = {(L, h): _window_stage(filtered, L, h, args.split)[:2] for (L, h) in combos}
-    settings = CellSettings(args.mode, args.val_split, _train_config(args), args.out)
-    tasks = [(mk, L, h, prepared[(L, h)], settings) for (L, h) in combos for mk in model_keys]
+    tasks = [
+        (mk, L, h, prepared[(L, h)], _run_spec(args, mk), args.out)
+        for (L, h) in combos for mk in model_keys
+    ]
     workers = min(worker_count(), len(tasks))
     if workers > 1:
         # imported here: multiprocessing adds ~20 ms to start-up, which
         # only a pooled grid needs
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_cell, *t) for t in tasks]
+            wait(futures, return_when=FIRST_EXCEPTION)
+            # a failure cancels the cells not yet started; every cell before
+            # it in grid order has started, so the ordered read raises it
+            pool.shutdown(cancel_futures=True)
             cells = [f.result() for f in futures]
     else:
         cells = [_run_cell(*t) for t in tasks]
@@ -376,12 +326,7 @@ def cmd_grid(args):
 
 
 def cmd_verify(args):
-    name = {"bilstm": models.BILSTM_NET, "cnn": models.CNN_NET}.get(args.model, args.model)
-    if name == models.BILSTM_NET:
-        model = models.build_lstm_model("parity")
-    else:
-        model = models.build_cnn_model("parity")
-    report = models.verify_parity(model)
+    report = models.verify_parity(models.build_model(args.model, "parity"))
     print(report.to_text())
     report.require_clean()
     return EXIT_OK

@@ -13,9 +13,14 @@ import inspect
 import numpy as np
 
 from .errors import NotFittedError
-from .models import build_cnn_model, build_lstm_model
-from .pipeline import CLAMP_HI, CLAMP_LO
-from .training import TrainConfig, fit as train_fit
+from .pipeline import (
+    NormStats,
+    WindowConfig,
+    WindowedDataset,
+    apply_normalizer,
+    fit_normalizer,
+)
+from .training import RunSpec, TrainConfig, run
 
 
 def check_matrix(X, width=None, name="X"):
@@ -63,42 +68,48 @@ class _ParamsMixin:
         return f"{type(self).__name__}({args})"
 
 
-class _DataContainer:
-    """Adapter giving raw arrays the inputs/targets surface training expects."""
-
-    def __init__(self, inputs, targets):
-        self.inputs = inputs
-        self.targets = targets
-
-
 class _WindowNetClassifier(_ParamsMixin):
-    """Shared fit/predict plumbing for the two network classifiers."""
+    """Shared parameters and fit/predict plumbing for the two network
+    classifiers; a subclass names its ``_model`` key and build ``_mode``."""
 
-    def _build(self):
-        raise NotImplementedError
+    def __init__(
+        self,
+        lookback=24,
+        features=5,
+        learning_rate=1e-3,
+        batch_size=32,
+        epochs=100,
+        seed=0,
+        validation_fraction=0.0,
+        patience=None,
+        threshold=0.5,
+    ):
+        self.lookback = lookback
+        self.features = features
+        self.learning_rate = learning_rate
+        self.batch_size = batch_size
+        self.epochs = epochs
+        self.seed = seed
+        self.validation_fraction = validation_fraction
+        self.patience = patience
+        self.threshold = threshold
 
-    def _train_config(self):
-        return TrainConfig(
+    def fit(self, X, y):
+        """Train on rows in time order; the last ``validation_fraction``
+        of them is held out as the validation tail."""
+        X = check_matrix(X, width=self.lookback * self.features)
+        y = check_binary_target(y, X.shape[0])
+        config = TrainConfig(
             learning_rate=self.learning_rate,
             batch_size=self.batch_size,
             epochs=self.epochs,
             seed=self.seed,
             patience=self.patience,
         )
-
-    def fit(self, X, y):
-        X = check_matrix(X, width=self.lookback * self.features)
-        y = check_binary_target(y, X.shape[0])
-        self.model_ = self._build()
-        validation = None
-        train = _DataContainer(X, y)
-        if self.validation_fraction:
-            n_val = max(1, int(round(X.shape[0] * self.validation_fraction)))
-            if n_val >= X.shape[0]:
-                raise ValueError("validation_fraction leaves no training rows")
-            train = _DataContainer(X[:-n_val], y[:-n_val])
-            validation = _DataContainer(X[-n_val:], y[-n_val:])
-        self.log_ = train_fit(self.model_, train, validation=validation, cfg=self._train_config())
+        # the horizon is not known here, and training does not read it
+        data = WindowedDataset(X, y, WindowConfig(self.lookback, 1, self.features))
+        spec = RunSpec(self._model, self._mode, self.validation_fraction, config)
+        self.model_, self.log_, _ = run(spec, data)
         self.n_features_in_ = X.shape[1]
         self.classes_ = np.array([0, 1])
         return self
@@ -131,32 +142,7 @@ class BiLstmClassifier(_WindowNetClassifier):
     Rows reshape to (lookback, features) sequences internally.
     """
 
-    def __init__(
-        self,
-        lookback=24,
-        features=5,
-        learning_rate=1e-3,
-        batch_size=32,
-        epochs=100,
-        seed=0,
-        validation_fraction=0.0,
-        patience=None,
-        threshold=0.5,
-    ):
-        self.lookback = lookback
-        self.features = features
-        self.learning_rate = learning_rate
-        self.batch_size = batch_size
-        self.epochs = epochs
-        self.seed = seed
-        self.validation_fraction = validation_fraction
-        self.patience = patience
-        self.threshold = threshold
-
-    def _build(self):
-        return build_lstm_model(
-            "canonical", lookback=self.lookback, features=self.features, seed=self.seed
-        )
+    _model, _mode = "bilstm", "canonical"
 
 
 class Conv1dClassifier(_WindowNetClassifier):
@@ -167,32 +153,7 @@ class Conv1dClassifier(_WindowNetClassifier):
     lookback * features.
     """
 
-    def __init__(
-        self,
-        lookback=24,
-        features=5,
-        learning_rate=1e-3,
-        batch_size=32,
-        epochs=100,
-        seed=0,
-        validation_fraction=0.0,
-        patience=None,
-        threshold=0.5,
-    ):
-        self.lookback = lookback
-        self.features = features
-        self.learning_rate = learning_rate
-        self.batch_size = batch_size
-        self.epochs = epochs
-        self.seed = seed
-        self.validation_fraction = validation_fraction
-        self.patience = patience
-        self.threshold = threshold
-
-    def _build(self):
-        return build_cnn_model(
-            "flat", lookback=self.lookback, features=self.features, seed=self.seed
-        )
+    _model, _mode = "cnn", "flat"
 
 
 class WindowMinMaxScaler(_ParamsMixin):
@@ -207,26 +168,25 @@ class WindowMinMaxScaler(_ParamsMixin):
     def __init__(self, features=5):
         self.features = features
 
-    def fit(self, X, y=None):
+    def _dataset(self, X):
         X = check_matrix(X)
         if X.shape[1] % self.features:
             raise ValueError(
                 f"width {X.shape[1]} is not a multiple of features={self.features}"
             )
-        per_feature = X.reshape(X.shape[0], -1, self.features)
-        self.mins_ = per_feature.min(axis=(0, 1))
-        self.maxs_ = per_feature.max(axis=(0, 1))
+        config = WindowConfig(X.shape[1] // self.features, 1, self.features)
+        return WindowedDataset(X, np.zeros(X.shape[0]), config)
+
+    def fit(self, X, y=None):
+        stats = fit_normalizer(self._dataset(X))
+        self.mins_, self.maxs_ = stats.mins, stats.maxs
         return self
 
     def transform(self, X):
         if getattr(self, "mins_", None) is None:
             raise NotFittedError("WindowMinMaxScaler is not fitted; call fit first")
-        X = check_matrix(X)
-        span = self.maxs_ - self.mins_
-        safe = np.where(span == 0.0, 1.0, span)
-        scaled = (X.reshape(X.shape[0], -1, self.features) - self.mins_) / safe
-        scaled[..., span == 0.0] = 0.0
-        return np.clip(scaled, CLAMP_LO, CLAMP_HI).reshape(X.shape[0], -1)
+        stats = NormStats(mins=self.mins_, maxs=self.maxs_)
+        return apply_normalizer(self._dataset(X), stats).inputs
 
     def fit_transform(self, X, y=None):
         return self.fit(X).transform(X)

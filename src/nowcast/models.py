@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputTooShort, UnexpectedMismatch
+from .errors import InputTooShort, ShapeMismatch, UnexpectedMismatch
 from .nn import (
     BiLSTM,
     Conv1D,
@@ -37,7 +37,11 @@ from .nn import (
 
 BILSTM_NET = "bilstm_net"
 CNN_NET = "cnn_net"
-MODEL_NAMES = (BILSTM_NET, CNN_NET)
+# every accepted model key (lowercase) -> its canonical name
+MODEL_ALIASES = {
+    BILSTM_NET: BILSTM_NET, "bilstm": BILSTM_NET, "lstm": BILSTM_NET,
+    CNN_NET: CNN_NET, "cnn": CNN_NET,
+}
 
 PARITY_WIDTH = 144  # input width of the published reference builds
 
@@ -138,38 +142,35 @@ def build_lstm_model(mode="canonical", lookback=24, features=5, seed=0):
     return Model(BILSTM_NET, mode, input_shape, layers)
 
 
-_CNN_LENGTH_CHAIN = (
-    ("conv", 8, "valid"),
-    ("conv", 5, "valid"),
-    ("pool", 3, None),
-    ("conv", 3, "same"),
-    ("conv", 3, "valid"),
-    ("conv", 3, "valid"),
-    ("pool", 3, None),
-    ("conv", 2, "valid"),
-    ("conv", 2, "valid"),
-    ("conv", 2, "valid"),
-)
-
-
-def _cnn_final_length(length):
-    for op, size, padding in _CNN_LENGTH_CHAIN:
-        if op == "conv":
-            if padding == "valid":
-                length = length - size + 1
-        else:
-            length = length // size
-        if length < 1:
-            return 0
-    return length
+def _cnn_layers(in_channels, rng):
+    return [
+        Conv1D(in_channels, 32, 8, rng=rng),
+        Conv1D(32, 32, 5, rng=rng),
+        MaxPool1D(3),
+        Conv1D(32, 64, 3, padding="same", rng=rng),
+        Conv1D(64, 64, 3, rng=rng),
+        Conv1D(64, 64, 3, rng=rng),
+        MaxPool1D(3),
+        Conv1D(64, 128, 2, rng=rng),
+        Conv1D(128, 128, 2, rng=rng),
+        Conv1D(128, 256, 2, rng=rng),
+        GlobalAvgPool1D(),
+        Dropout(0.4),
+        Dense(256, 1, rng=rng),
+        Sigmoid(),
+    ]
 
 
 def cnn_min_length():
     """Shortest input length the conv/pool chain accepts."""
+    layers = _cnn_layers(1, np.random.default_rng(0))
     length = 1
-    while _cnn_final_length(length) < 1:
-        length += 1
-    return length
+    while True:
+        try:
+            Model(CNN_NET, "flat", (length, 1), layers)  # chains output_shape
+            return length
+        except ShapeMismatch:
+            length += 1
 
 
 CNN_MIN_LENGTH = cnn_min_length()
@@ -196,34 +197,23 @@ def build_cnn_model(mode="canonical", lookback=24, features=5, seed=0):
         raise ValueError(f"unknown mode {mode!r} for {CNN_NET}")
     if input_shape[0] < CNN_MIN_LENGTH:
         raise InputTooShort(input_shape[0], CNN_MIN_LENGTH)
-    ci = input_shape[1]
-    layers = [
-        Conv1D(ci, 32, 8, rng=rng),
-        Conv1D(32, 32, 5, rng=rng),
-        MaxPool1D(3),
-        Conv1D(32, 64, 3, padding="same", rng=rng),
-        Conv1D(64, 64, 3, rng=rng),
-        Conv1D(64, 64, 3, rng=rng),
-        MaxPool1D(3),
-        Conv1D(64, 128, 2, rng=rng),
-        Conv1D(128, 128, 2, rng=rng),
-        Conv1D(128, 256, 2, rng=rng),
-        GlobalAvgPool1D(),
-        Dropout(0.4),
-        Dense(256, 1, rng=rng),
-        Sigmoid(),
-    ]
-    return Model(CNN_NET, mode, input_shape, layers)
+    return Model(CNN_NET, mode, input_shape, _cnn_layers(input_shape[1], rng))
+
+
+def model_name(key):
+    """Canonical model name for a name or alias, case-insensitive."""
+    try:
+        return MODEL_ALIASES[key.lower()]
+    except KeyError:
+        raise ValueError(
+            f"unknown model {key!r}; expected one of {', '.join(sorted(MODEL_ALIASES))}"
+        ) from None
 
 
 def build_model(name, mode="canonical", lookback=24, features=5, seed=0):
-    """Dispatch on model name; accepts short aliases bilstm/cnn."""
-    key = name.lower()
-    if key in (BILSTM_NET, "bilstm", "lstm"):
-        return build_lstm_model(mode, lookback, features, seed)
-    if key in (CNN_NET, "cnn"):
-        return build_cnn_model(mode, lookback, features, seed)
-    raise ValueError(f"unknown model {name!r}; expected one of {MODEL_NAMES}")
+    """Dispatch on model name or alias (see ``MODEL_ALIASES``)."""
+    builder = build_lstm_model if model_name(name) == BILSTM_NET else build_cnn_model
+    return builder(mode, lookback, features, seed)
 
 
 @dataclass
@@ -255,17 +245,21 @@ class ParityReport:
     computed_total: int = 0   # sum over the built layers
     stated_total: int = 0     # the single total the reference text states
 
+    def _faults(self, row):
+        """(field, expected, computed) of each mismatch in a row that no
+        canned note excuses."""
+        known = BILSTM_KNOWN if self.model_name == BILSTM_NET else CNN_KNOWN
+        allowed = known.get(row.label, (None, ""))[0]
+        out = []
+        if not row.params_match and allowed != "params":
+            out.append(("params", row.expected_params, row.computed_params))
+        if not row.shape_match and allowed != "shape":
+            out.append(("shape", row.expected_shape, row.computed_shape))
+        return out
+
     def unexpected(self):
         """Mismatches not excused by a canned note."""
-        known = BILSTM_KNOWN if self.model_name == BILSTM_NET else CNN_KNOWN
-        out = []
-        for row in self.rows:
-            allowed = known.get(row.label, (None, ""))[0]
-            if not row.params_match and allowed != "params":
-                out.append((row.label, "params", row.expected_params, row.computed_params))
-            if not row.shape_match and allowed != "shape":
-                out.append((row.label, "shape", row.expected_shape, row.computed_shape))
-        return out
+        return [(row.label, *fault) for row in self.rows for fault in self._faults(row)]
 
     @property
     def ok(self):
@@ -283,7 +277,7 @@ class ParityReport:
             f"{'exp shape':>12} {'got shape':>12}  note"
         ]
         for r in self.rows:
-            flag = "" if (r.params_match and r.shape_match) else ("known " if not self.unexpected_row(r) else "MISMATCH ")
+            flag = "" if (r.params_match and r.shape_match) else ("MISMATCH " if self._faults(r) else "known ")
             lines.append(
                 f"{r.label:<28} {r.expected_params:>10,} {r.computed_params:>10,} "
                 f"{str(r.expected_shape):>12} {str(r.computed_shape):>12}  {flag}{r.note}"
@@ -299,13 +293,6 @@ class ParityReport:
         else:
             lines.append(f"stated architecture total {self.stated_total:,}")
         return "\n".join(lines)
-
-    def unexpected_row(self, row):
-        known = BILSTM_KNOWN if self.model_name == BILSTM_NET else CNN_KNOWN
-        allowed = known.get(row.label, (None, ""))[0]
-        bad_params = not row.params_match and allowed != "params"
-        bad_shape = not row.shape_match and allowed != "shape"
-        return bad_params or bad_shape
 
 
 # activation layers are not present as rows in the published tables

@@ -18,12 +18,11 @@ match their declared shapes.
 """
 
 import json
-import os
 import struct
-import tempfile
 
 import numpy as np
 
+from .._io import atomic_write_bytes
 from ..errors import CorruptCheckpoint
 from .layers import layer_from_hyperparams
 from .model import Model
@@ -31,10 +30,9 @@ from .model import Model
 MAGIC = b"NWM1"
 
 
-def _write_str(fh, s):
+def _str_bytes(s):
     raw = s.encode("utf-8")
-    fh.write(struct.pack("<I", len(raw)))
-    fh.write(raw)
+    return struct.pack("<I", len(raw)) + raw
 
 
 def _read_exact(fh, n):
@@ -51,32 +49,25 @@ def _read_str(fh):
 
 def save_model(model, path):
     """Write a model checkpoint atomically (temp file then rename)."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", len(model.layers)))
-            meta = {
-                "name": model.name,
-                "mode": model.mode,
-                "input_shape": list(model.input_shape),
-            }
-            _write_str(fh, json.dumps(meta, sort_keys=True))
-            for layer in model.layers:
-                _write_str(fh, layer.kind)
-                _write_str(fh, json.dumps(layer.hyperparams(), sort_keys=True))
-                fh.write(struct.pack("<I", len(layer.params)))
-                for role, arr in layer.params.items():
-                    _write_str(fh, role)
-                    fh.write(struct.pack("<B", arr.ndim))
-                    fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-                    fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    meta = {"name": model.name, "mode": model.mode, "input_shape": list(model.input_shape)}
+    parts = [
+        MAGIC,
+        struct.pack("<I", len(model.layers)),
+        _str_bytes(json.dumps(meta, sort_keys=True)),
+    ]
+    for layer in model.layers:
+        parts += [
+            _str_bytes(layer.kind),
+            _str_bytes(json.dumps(layer.hyperparams(), sort_keys=True)),
+            struct.pack("<I", len(layer.params)),
+        ]
+        for role, arr in layer.params.items():
+            parts += [
+                _str_bytes(role),
+                struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape),
+                np.ascontiguousarray(arr, dtype="<f8").tobytes(),
+            ]
+    atomic_write_bytes(path, b"".join(parts))
 
 
 def load_model(path):

@@ -314,8 +314,8 @@ def _clock(text):
 
 
 def _indian_row(fields, rule):
-    """One data row as an Observation; raises the ValueError or IndexError
-    that names the row's first fault."""
+    """One data row as an Observation; raises the ValueError, IndexError
+    or OverflowError that names the row's first fault."""
     year, month, day = int(fields[0]), int(fields[1]), int(fields[2])
     hh, mm = fields[3].strip().split(":")
     return Observation(
@@ -359,7 +359,7 @@ def _parse_indian(stream, station_id):
                 raise MalformedRow(line_no, f"expected 9 columns, got {len(fields)}")
             try:
                 obs = _indian_row(fields, rule)
-            except (ValueError, IndexError) as exc:
+            except (ValueError, IndexError, OverflowError) as exc:
                 raise MalformedRow(line_no, str(exc)) from None
             stamp = _epoch_seconds(obs.timestamp)
             t, w, hm, p, r = obs.features()

@@ -3,18 +3,21 @@ optimizer, plus thresholded binary evaluation and per-epoch logging.
 
 Datasets are anything with ``inputs`` (N x width float array) and
 ``targets`` (N binary vector) attributes; the rest of the package uses
-``pipeline.WindowedDataset``. All runs are deterministic for a fixed seed:
+``pipeline.WindowedDataset``. ``run`` is how ``nowcast train``, every grid
+cell and the estimators train: it builds the model, holds out the
+validation tail and fits. All runs are deterministic for a fixed seed:
 row shuffling and dropout masks draw from one seeded generator, and batch
 gradients come from fixed-order reductions.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ._io import atomic_write_text
-from .errors import EmptyDataset, NonFiniteLoss
+from .errors import EmptyDataset, InputTooShort, NonFiniteLoss
+from .models import build_model
 from .nn.model import bce_with_grad
 
 P_CLAMP = 1e-12  # probability clamp bound for the cross-entropy
@@ -39,15 +42,6 @@ class TrainConfig:
             raise ValueError("beta1/beta2 must be in [0, 1)")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-
-
-def bce_loss(p, y):
-    """Binary cross-entropy per element and d loss / d p.
-
-    p is clamped to [1e-12, 1 - 1e-12] so saturated probabilities stay
-    finite; batch loss is the caller's mean over elements.
-    """
-    return bce_with_grad(np.asarray(p, dtype=np.float64), np.asarray(y, dtype=np.float64))
 
 
 class AdamState:
@@ -254,3 +248,56 @@ def fit(model, train, validation=None, test=None, cfg=None):
     if test is not None:
         log.final_test = evaluate(model, test)
     return log
+
+
+@dataclass(frozen=True)
+class RunSpec:
+    """One training run: model key or alias, build mode, the share of the
+    training rows held out as a validation tail, and the optimizer
+    settings. ``config.seed`` seeds both the build and the fit."""
+
+    model: str
+    mode: str
+    val_fraction: float
+    config: TrainConfig
+
+
+def _rows(ds, a, b):
+    return replace(
+        ds,
+        inputs=ds.inputs[a:b],
+        targets=ds.targets[a:b],
+        anchors=None if ds.anchors is None else ds.anchors[a:b],
+    )
+
+
+def run(spec, train, test=None):
+    """Build the model for ``train``'s (lookback, features), hold out the
+    chronological validation tail and fit; returns (model, log, note).
+
+    A canonical-mode conv stack needs a longer sequence than a 12- or
+    24-step multichannel window provides, so it falls back to the
+    flattened single-channel form, and ``note`` says so (else "").
+    """
+    window = train.config
+    seed = spec.config.seed
+    note = ""
+    try:
+        model = build_model(spec.model, spec.mode, window.lookback, window.features, seed)
+    except InputTooShort as exc:
+        if spec.mode != "canonical":
+            raise
+        model = build_model(spec.model, "flat", window.lookback, window.features, seed)
+        note = (
+            f"note: lookback {window.lookback} is below the conv stack minimum "
+            f"{exc.min_length}; using the flattened {window.width}-long form"
+        )
+    validation = None
+    if spec.val_fraction:
+        n = train.n_rows
+        n_val = max(1, int(round(n * spec.val_fraction)))
+        if n_val >= n:
+            raise ValueError("the validation fraction leaves no training rows")
+        train, validation = _rows(train, 0, n - n_val), _rows(train, n - n_val, n)
+    log = fit(model, train, validation=validation, test=test, cfg=spec.config)
+    return model, log, note

@@ -5,7 +5,9 @@ loops, pure-Python accumulation) so the fast production paths are checked
 against code that shares none of their structure.
 """
 
+import json
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -91,6 +93,35 @@ def adam_reference(theta, grads_sequence, lr=0.001, b1=0.9, b2=0.999, eps=1e-8):
         theta = theta - lr * m_hat / (math.sqrt(v_hat) + eps)
         values.append(theta)
     return values
+
+
+def save_model_reference(model, path):
+    """The ``.nwm`` writer as it was before it built its bytes in memory:
+    one field at a time into an open file."""
+
+    def write_str(fh, text):
+        raw = text.encode("utf-8")
+        fh.write(struct.pack("<I", len(raw)))
+        fh.write(raw)
+
+    with open(path, "wb") as fh:
+        fh.write(b"NWM1")
+        fh.write(struct.pack("<I", len(model.layers)))
+        meta = {
+            "name": model.name,
+            "mode": model.mode,
+            "input_shape": list(model.input_shape),
+        }
+        write_str(fh, json.dumps(meta, sort_keys=True))
+        for layer in model.layers:
+            write_str(fh, layer.kind)
+            write_str(fh, json.dumps(layer.hyperparams(), sort_keys=True))
+            fh.write(struct.pack("<I", len(layer.params)))
+            for role, arr in layer.params.items():
+                write_str(fh, role)
+                fh.write(struct.pack("<B", arr.ndim))
+                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def make_model(input_shape, layers, name="test", mode="canonical"):

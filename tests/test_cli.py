@@ -1,12 +1,14 @@
 """End-to-end command-line behavior on generated data: exit codes, files,
 report contents, and rerun determinism."""
 
+import multiprocessing
 import os
+import time
 
 import numpy as np
 import pytest
 
-from nowcast import cli, pipeline, synthetic
+from nowcast import cli, pipeline, synthetic, training
 from nowcast.cli import main
 
 
@@ -264,6 +266,57 @@ class TestGrid:
                 "trainlog_cnn_L24_h1.csv", "trainlog_bilstm_L24_h1.csv"} <= set(outputs["1"])
         rows = outputs["1"]["grid.csv"].decode().splitlines()[2:]
         assert rows[0].startswith("cnn,2,1,nan,") and "InputTooShort" in rows[0]
+
+    def test_unknown_model_key_fails_before_training(self, csv_1000h, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the grid windowed data")
+
+        monkeypatch.setattr(pipeline, "make_windows", refuse)
+        out = tmp_path / "grid"
+        code = main([
+            "grid", "--input", csv_1000h, "--months", "all",
+            "--lookbacks", "6", "--horizons", "1", "--models", "bilstm,transformer",
+            "--epochs", "1", "--out", str(out),
+        ])
+        assert code == cli.EXIT_DATA
+        assert not (out / "grid.csv").exists()
+
+    def test_aliases_keep_their_spelling(self, csv_1000h, tmp_path):
+        out = tmp_path / "grid"
+        code = main([
+            "grid", "--input", csv_1000h, "--months", "all",
+            "--lookbacks", "6", "--horizons", "1", "--models", "lstm,bilstm_net",
+            "--epochs", "0", "--out", str(out),
+        ])
+        assert code == 0
+        rows = (out / "grid.csv").read_text().splitlines()[2:]
+        assert [r.split(",")[0] for r in rows] == ["lstm", "bilstm_net"]
+        assert (out / "trainlog_lstm_L6_h1.csv").exists()
+        assert (out / "trainlog_bilstm_net_L6_h1.csv").exists()
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork", reason="workers must inherit the stub"
+    )
+    def test_pooled_failure_cancels_pending_cells(self, csv_1000h, tmp_path, monkeypatch):
+        # workers are forked after the patch, so they run the stub
+        def stub(spec, train, test=None):
+            if train.config.lookback == 6:
+                raise ValueError("cell failed")
+            time.sleep(1.0)
+            return None, training.TrainLog(), ""
+
+        monkeypatch.setattr(training, "run", stub)
+        monkeypatch.setenv("NOWCAST_THREADS", "2")
+        out = tmp_path / "grid"
+        code = main([
+            "grid", "--input", csv_1000h, "--months", "all",
+            "--lookbacks", "6,7,8,9", "--horizons", "1,2", "--models", "bilstm",
+            "--epochs", "1", "--out", str(out),
+        ])
+        assert code == cli.EXIT_DATA
+        assert not (out / "grid.csv").exists()
+        written = {p.name for p in out.iterdir() if p.name.startswith("trainlog_")}
+        assert len(written) < 6  # of the 6 cells that do not fail
 
 
 class TestUsage:

@@ -116,6 +116,8 @@ class TestParseIndian:
         ("2010,7,15,08:40,nan,19,74,1005,0", 3),    # temperature
         ("2010,7,15,09:40,26,13,84,inf,1", 5),      # pressure
         ("2010,7,15,10:10,26,nan,89,1004,1", 6),    # wind speed
+        ("99999999999999999999,7,15,09:10,26,13,84,1005,1", 4),   # year past any date
+        ("2010,7,15,99999999999999999999:10,26,13,84,1005,1", 4),  # hour past any int
     ])
     def test_non_finite_reading_reports_line(self, row, line_no):
         lines = RAW_SAMPLE.split("\n")

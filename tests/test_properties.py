@@ -1,7 +1,9 @@
 """Property-based checks of the pipeline laws: the columnar parse, resample
 and month filter against the scalar references in ``helpers``, the window
 count law, resample idempotence, chronological split order, the
-normalizer round trip, and the ``.nwc`` container round trip."""
+normalizer round trip, the ``.nwc`` container round trip, and the
+``.nwm`` checkpoint round trip, truncation and bytes on small random
+models."""
 
 import io
 import math
@@ -19,10 +21,12 @@ from helpers import (
     count_windows_brute_force,
     filter_months_reference,
     resample_reference,
+    save_model_reference,
     sort_dedupe_reference,
 )
 
 from nowcast.errors import (
+    CorruptCheckpoint,
     CorruptContainer,
     DuplicateTimestampWarning,
     NoData,
@@ -45,6 +49,20 @@ from nowcast.pipeline import (
     resample_hourly,
     save_windowed,
     split_chronological,
+)
+from nowcast.nn import (
+    LSTM,
+    BiLSTM,
+    Conv1D,
+    Dense,
+    Dropout,
+    GlobalAvgPool1D,
+    MaxPool1D,
+    Model,
+    ReLU,
+    Sigmoid,
+    load_model,
+    save_model,
 )
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -274,3 +292,84 @@ def test_container_round_trip_and_truncation(series, lookback, horizon, normaliz
                 fh.write(damaged)
             with pytest.raises(CorruptContainer):
                 load_windowed(path)
+
+
+@st.composite
+def small_models(draw):
+    """A small random recurrent or convolutional Model: the same layer
+    kinds as the two networks, at desk sizes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    name = draw(st.sampled_from(["bilstm_net", "cnn_net", "test"]))
+    mode = draw(st.sampled_from(["canonical", "flat", "parity"]))
+    if draw(st.booleans()):
+        steps, features = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+        hidden, width = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        first = (
+            BiLSTM(features, hidden, rng=rng) if draw(st.booleans())
+            else LSTM(features, hidden, rng=rng)
+        )
+        in_dim = 2 * hidden if first.kind == "bilstm" else hidden
+        layers = [first, LSTM(in_dim, width, return_sequences=False, rng=rng)]
+        shape = (steps, features)
+    else:
+        length, channels = draw(st.integers(6, 12)), draw(st.integers(1, 3))
+        c1, c2 = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        padding = draw(st.sampled_from(["valid", "same"]))
+        layers = [Conv1D(channels, c1, draw(st.integers(1, 3)), padding=padding, rng=rng)]
+        if draw(st.booleans()):
+            layers.append(MaxPool1D(2))
+        layers += [
+            Conv1D(c1, c2, 1, rng=rng),
+            GlobalAvgPool1D(),
+            Dropout(draw(st.sampled_from([0.0, 0.4]))),
+        ]
+        width = c2
+        shape = (length, channels)
+    layers += [Dense(width, 3, rng=rng), ReLU(), Dense(3, 1, rng=rng), Sigmoid()]
+    return Model(name, mode, shape, layers)
+
+
+CHECKPOINT_PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+@CHECKPOINT_PROPERTY
+@given(small_models())
+def test_checkpoint_round_trip(model):
+    x = np.random.default_rng(0).standard_normal((3, model.input_width))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.nwm")
+        save_model(model, path)
+        loaded = load_model(path)
+    assert (loaded.name, loaded.mode, loaded.input_shape) == (
+        model.name, model.mode, model.input_shape)
+    assert [layer.kind for layer in loaded.layers] == [layer.kind for layer in model.layers]
+    assert {k: a.tobytes() for k, a in loaded.params().items()} == {
+        k: a.tobytes() for k, a in model.params().items()}
+    assert np.array_equal(loaded.forward(x), model.forward(x))
+
+
+@CHECKPOINT_PROPERTY
+@given(small_models())
+def test_checkpoint_bytes_match_the_reference_writer(model):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, reference = os.path.join(tmp, "model.nwm"), os.path.join(tmp, "reference.nwm")
+        save_model(model, path)
+        save_model_reference(model, reference)
+        with open(path, "rb") as fh, open(reference, "rb") as ref:
+            assert fh.read() == ref.read()
+        assert sorted(os.listdir(tmp)) == ["model.nwm", "reference.nwm"]  # no temp file left
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(small_models())
+def test_every_checkpoint_truncation_is_rejected(model):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.nwm")
+        save_model(model, path)
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        for cut in range(len(blob)):
+            with open(path, "wb") as fh:
+                fh.write(blob[:cut])
+            with pytest.raises(CorruptCheckpoint):
+                load_model(path)

@@ -9,12 +9,12 @@ from helpers import adam_reference, make_model
 
 from nowcast.errors import EmptyDataset, NonFiniteLoss
 from nowcast.nn import Dense, Sigmoid
+from nowcast.nn.model import bce_with_grad as bce_loss
 from nowcast.pipeline import WindowConfig, WindowedDataset
 from nowcast.training import (
     AdamState,
     TrainConfig,
     adam_step,
-    bce_loss,
     evaluate,
     fit,
     train_epoch,
