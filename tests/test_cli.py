@@ -199,6 +199,24 @@ class TestVerify:
         assert exc_info.value.code == cli.EXIT_USAGE
 
 
+def blas_threads():
+    """Thread count of the OpenBLAS mapped into this process, or None."""
+    import ctypes
+
+    with open("/proc/self/maps") as fh:
+        paths = {line.split()[-1] for line in fh if "openblas" in line}
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for symbol in (
+            "scipy_openblas_get_num_threads64_",
+            "openblas_get_num_threads64_",
+            "openblas_get_num_threads",
+        ):
+            if hasattr(lib, symbol):
+                return getattr(lib, symbol)()
+    return None
+
+
 class TestGrid:
     def test_single_cell_grid(self, csv_1000h, tmp_path, capsys):
         out = tmp_path / "grid"
@@ -317,6 +335,28 @@ class TestGrid:
         assert not (out / "grid.csv").exists()
         written = {p.name for p in out.iterdir() if p.name.startswith("trainlog_")}
         assert len(written) < 6  # of the 6 cells that do not fail
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork" or blas_threads() is None,
+        reason="workers must inherit the stub, and OpenBLAS must be mapped",
+    )
+    def test_pooled_cells_run_one_blas_thread(self, csv_1000h, tmp_path, monkeypatch):
+        seen = tmp_path / "seen"
+        seen.mkdir()
+
+        def stub(spec, train, test=None):
+            (seen / f"L{train.config.lookback}").write_text(str(blas_threads()))
+            return None, training.TrainLog(), ""
+
+        monkeypatch.setattr(training, "run", stub)
+        monkeypatch.setenv("NOWCAST_THREADS", "2")
+        code = main([
+            "grid", "--input", csv_1000h, "--months", "all",
+            "--lookbacks", "6,7", "--horizons", "1", "--models", "bilstm",
+            "--epochs", "1", "--out", str(tmp_path / "grid"),
+        ])
+        assert code == 0
+        assert sorted(p.read_text() for p in seen.iterdir()) == ["1", "1"]
 
 
 class TestUsage:

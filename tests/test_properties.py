@@ -366,10 +366,7 @@ def test_every_checkpoint_truncation_is_rejected(model):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "model.nwm")
         save_model(model, path)
-        with open(path, "rb") as fh:
-            blob = fh.read()
-        for cut in range(len(blob)):
-            with open(path, "wb") as fh:
-                fh.write(blob[:cut])
+        for cut in reversed(range(os.path.getsize(path))):
+            os.truncate(path, cut)  # shortest last: each cut keeps a prefix
             with pytest.raises(CorruptCheckpoint):
                 load_model(path)

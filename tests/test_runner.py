@@ -73,6 +73,7 @@ def test_train_estimator_and_grid_cell_agree(prepared, tmp_path, monkeypatch, ne
         return real_fit(model, *args, **kwargs)
 
     monkeypatch.setattr(training, "fit", keep_model)
+    monkeypatch.delenv("NOWCAST_THREADS", raising=False)  # the cell trains in this process
     grid = tmp_path / "grid"
     code = main([
         "grid", "--input", csv_path, "--months", "all", "--lookbacks", "12",
