@@ -20,7 +20,7 @@ import warnings
 import zlib
 from dataclasses import dataclass, replace
 
-from . import models, pipeline, training
+from . import __version__, models, pipeline, training
 from ._io import atomic_write_text
 from .errors import (
     CorruptCheckpoint,
@@ -39,8 +39,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 EXIT_PARITY = 4
-
-VERSION = "0.1.0"
 
 KAGGLE_FILES = {
     "temperature": "temperature.csv",
@@ -237,7 +235,7 @@ def _run_cell(model_key, lookback, horizon, data, spec, out):
 
 def _grid_csv(cells, seed):
     lines = [
-        f"# nowcast grid seed={seed} version={VERSION}",
+        f"# nowcast grid seed={seed} version={__version__}",
         "model,lookback,horizon,accuracy,precision,recall,f1,epochs,error",
     ]
     for c in cells:
@@ -310,19 +308,24 @@ def _one_blas_thread():
 
 def cmd_grid(args):
     model_keys = [m.strip() for m in args.models.split(",")]
-    for key in model_keys:
-        models.model_name(key)  # an unknown key fails before any work
-    series = _load_series(args)
-    months = _parse_months(args.months)
     lookbacks = [int(v) for v in args.lookbacks.split(",")]
     horizons = [int(v) for v in args.horizons.split(",")]
+    # an unknown key, a repeated entry or a bad setting fails before any work
+    for flag, values in (("models", model_keys), ("lookbacks", lookbacks), ("horizons", horizons)):
+        if len(set(values)) != len(values):
+            raise ValueError(f"--{flag} names an entry twice: {getattr(args, flag)}")
+    for key in model_keys:
+        models.model_name(key)
+    specs = {mk: _run_spec(args, mk) for mk in model_keys}
+    series = _load_series(args)
+    months = _parse_months(args.months)
     os.makedirs(args.out, exist_ok=True)
 
     filtered, _ = _hourly_stage(series, months)
     combos = [(L, h) for L in lookbacks for h in horizons]
     prepared = {(L, h): _window_stage(filtered, L, h, args.split)[:2] for (L, h) in combos}
     tasks = [
-        (mk, L, h, prepared[(L, h)], _run_spec(args, mk), args.out)
+        (mk, L, h, prepared[(L, h)], specs[mk], args.out)
         for (L, h) in combos for mk in model_keys
     ]
     workers = min(worker_count(), len(tasks))

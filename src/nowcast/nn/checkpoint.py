@@ -81,7 +81,6 @@ def load_model(path):
         except json.JSONDecodeError as exc:
             raise CorruptCheckpoint(f"bad meta block: {exc}") from None
         layers = []
-        loaded = []
         for _ in range(n_layers):
             kind = _read_str(fh)
             try:
@@ -110,7 +109,6 @@ def load_model(path):
                     )
                 layer.params[role][...] = arr
             layers.append(layer)
-            loaded.append(kind)
         if fh.read(1):
             raise CorruptCheckpoint("trailing bytes after last layer")
     try:

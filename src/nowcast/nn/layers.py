@@ -6,7 +6,12 @@ Every layer consumes a batch-leading array: (B, d) for vector layers,
 parameter gradients into ``self.grads`` (mirror shapes of ``self.params``)
 and returns the gradient with respect to its input. Parameter gradients
 are summed over the batch; the trainer owns any 1/B scaling.
+
+Entries of ``params`` and ``grads`` are written in place, never rebound:
+the recurrent layers' entries are per-direction views of stacked arrays.
 """
+
+import functools
 
 import numpy as np
 
@@ -120,17 +125,25 @@ class Sigmoid(Layer):
 
 
 class LSTM(Layer):
-    """Single-direction LSTM over (B, T, in_dim) input.
+    """LSTM over (B, T, in_dim) input, one time loop for all directions.
+
+    ``prefixes`` holds one parameter-role prefix per direction: direction 0
+    reads the sequence in order, direction 1 (``BiLSTM``) its reversal.
+    wx (D, d, 4H), wh (D, H, 4H) and b (D, 4H) are stored stacked over the
+    D directions; ``params`` and ``grads`` hold per-direction views of
+    them, and each step runs every direction in one batched matmul.
 
     Gate blocks are stored in one fused axis ordered (i, f, g, o) with a
     single bias vector per gate block, so the trainable size per direction
-    is 4H(d + H + 1). The forget-gate bias starts at 1. ``return_sequences``
-    selects between the full (B, T, H) hidden trace and the final (B, H)
-    state. ``forward`` accepts an optional ``initial`` (h0, c0) pair, used
-    by tests to probe the cell equations.
+    is 4H(d + H + 1). The forget-gate bias starts at 1. Output step t
+    concatenates every direction's hidden state for input position t;
+    ``return_sequences`` selects between that (B, T, D*H) trace and the
+    (B, D*H) final states. ``forward`` accepts an optional ``initial``
+    (h0, c0) pair, used by tests to probe the cell equations.
     """
 
     kind = "lstm"
+    prefixes = ("",)
 
     def __init__(self, in_dim, hidden_size, return_sequences=True, rng=None):
         super().__init__()
@@ -138,99 +151,112 @@ class LSTM(Layer):
         self.hidden_size = int(hidden_size)
         self.return_sequences = bool(return_sequences)
         rng = rng or np.random.default_rng(0)
-        d, h = self.in_dim, self.hidden_size
+        D, d, h = len(self.prefixes), self.in_dim, self.hidden_size
         lim_x = np.sqrt(6.0 / (d + 4 * h))
         lim_h = np.sqrt(6.0 / (h + 4 * h))
-        b = np.zeros(4 * h)
-        b[h:2 * h] = 1.0  # forget gate open at init
-        self.params = {
-            "wx": rng.uniform(-lim_x, lim_x, (d, 4 * h)),
-            "wh": rng.uniform(-lim_h, lim_h, (h, 4 * h)),
-            "b": b,
+        self._w = {
+            "wx": np.empty((D, d, 4 * h)),
+            "wh": np.empty((D, h, 4 * h)),
+            "b": np.zeros((D, 4 * h)),
         }
-        self._alloc_grads()
+        for k in range(D):
+            self._w["wx"][k] = rng.uniform(-lim_x, lim_x, (d, 4 * h))
+            self._w["wh"][k] = rng.uniform(-lim_h, lim_h, (h, 4 * h))
+        self._w["b"][:, h:2 * h] = 1.0  # forget gate open at init
+        self._g = {role: np.zeros_like(w) for role, w in self._w.items()}
+        self.params = self._views(self._w)
+        self.grads = self._views(self._g)
         self._cache = None
+
+    def _views(self, stacked):
+        return {
+            prefix + role: arr[k]
+            for k, prefix in enumerate(self.prefixes)
+            for role, arr in stacked.items()
+        }
+
+    def _steps(self, seqs):
+        """Map each direction's (B, T, ...) sequence between input order and
+        its own step order: as is for direction 0, reversed for direction 1."""
+        return [s[:, ::-1] if k else s for k, s in enumerate(seqs)]
 
     def forward(self, x, train=False, rng=None, initial=None):
         if x.ndim != 3 or x.shape[2] != self.in_dim or x.shape[1] < 1:
             raise ShapeMismatch(
-                f"lstm expects (B, T>=1, {self.in_dim}), got {x.shape}"
+                f"{self.kind} expects (B, T>=1, {self.in_dim}), got {x.shape}"
             )
+        self._cache = None  # release the last batch's arrays before allocating these
         B, T, _ = x.shape
-        H = self.hidden_size
-        wx, wh, b = self.params["wx"], self.params["wh"], self.params["b"]
+        D, H = len(self.prefixes), self.hidden_size
+        xs = np.stack(self._steps([x] * D))
+        wx, wh, b = self._w["wx"], self._w["wh"], self._w["b"][:, None]
         if initial is None:
-            h_prev = np.zeros((B, H))
-            c_prev = np.zeros((B, H))
+            h0 = c0 = np.zeros((D, B, H))
         else:
-            h_prev = np.broadcast_to(initial[0], (B, H)).astype(float)
-            c_prev = np.broadcast_to(initial[1], (B, H)).astype(float)
-
-        gi = np.empty((T, B, H))
-        gf = np.empty((T, B, H))
-        gg = np.empty((T, B, H))
-        go = np.empty((T, B, H))
-        cs = np.empty((T, B, H))
-        tc = np.empty((T, B, H))
-        hs = np.empty((T, B, H))
-        c0 = c_prev
-        h0 = h_prev
+            h0, c0 = (np.broadcast_to(v, (D, B, H)).astype(float) for v in initial)
+        h_prev, c_prev = h0, c0
+        gates = np.empty((T, D, B, 4 * H))  # activated i, f, g, o
+        cs = np.empty((T, D, B, H))
+        tc = np.empty((T, D, B, H))
+        hs = np.empty((T, D, B, H))
         for t in range(T):
-            z = x[:, t] @ wx + h_prev @ wh + b
-            gi[t] = sigmoid(z[:, :H])
-            gf[t] = sigmoid(z[:, H:2 * H])
-            gg[t] = np.tanh(z[:, 2 * H:3 * H])
-            go[t] = sigmoid(z[:, 3 * H:])
-            c_prev = gf[t] * c_prev + gi[t] * gg[t]
+            z = xs[:, :, t] @ wx + h_prev @ wh + b
+            a = gates[t]
+            a[..., :2 * H] = sigmoid(z[..., :2 * H])
+            a[..., 2 * H:3 * H] = np.tanh(z[..., 2 * H:3 * H])
+            a[..., 3 * H:] = sigmoid(z[..., 3 * H:])
+            c_prev = a[..., H:2 * H] * c_prev + a[..., :H] * a[..., 2 * H:3 * H]
             cs[t] = c_prev
             tc[t] = np.tanh(c_prev)
-            h_prev = go[t] * tc[t]
+            h_prev = a[..., 3 * H:] * tc[t]
             hs[t] = h_prev
-        self._cache = (x, gi, gf, gg, go, cs, tc, hs, h0, c0)
+        self._cache = (xs, gates, cs, tc, hs, h0, c0)
         if self.return_sequences:
-            return hs.transpose(1, 0, 2)
-        return hs[T - 1]
+            return np.concatenate(self._steps(hs.transpose(1, 2, 0, 3)), axis=2)
+        return hs[T - 1].transpose(1, 0, 2).reshape(B, D * H)
 
     def backward(self, dy):
-        x, gi, gf, gg, go, cs, tc, hs, h0, c0 = self._cache
-        B, T, _ = x.shape
+        xs, gates, cs, tc, hs, h0, c0 = self._cache
+        D, B, T, _ = xs.shape
         H = self.hidden_size
         if self.return_sequences:
-            dh_all = dy.transpose(1, 0, 2)
+            dh_all = np.stack(self._steps(np.split(dy, D, axis=2)), axis=2)
         else:
-            dh_all = np.zeros((T, B, H))
-            dh_all[T - 1] = dy
-        wx, wh = self.params["wx"], self.params["wh"]
-        dwx = self.grads["wx"]
-        dwh = self.grads["wh"]
-        db = self.grads["b"]
-        dx = np.empty_like(x)
-        dh_next = np.zeros((B, H))
-        dc_next = np.zeros((B, H))
-        dz = np.empty((B, 4 * H))
+            dh_all = np.zeros((B, T, D, H))
+            dh_all[:, T - 1] = dy.reshape(B, D, H)
+        dh_all = dh_all.transpose(1, 2, 0, 3)  # (T, D, B, H)
+        gi, gf, gg, go = (gates[..., k * H:(k + 1) * H] for k in range(4))
+        wxT = self._w["wx"].transpose(0, 2, 1)
+        whT = self._w["wh"].transpose(0, 2, 1)
+        dwx, dwh, db = self._g["wx"], self._g["wh"], self._g["b"]
+        dxs = np.empty_like(xs)
+        dh_next = np.zeros((D, B, H))
+        dc_next = np.zeros((D, B, H))
+        dz = np.empty((D, B, 4 * H))
         for t in range(T - 1, -1, -1):
             dh = dh_all[t] + dh_next
             dc = dc_next + dh * go[t] * (1.0 - tc[t] ** 2)
             c_before = cs[t - 1] if t > 0 else c0
-            dz[:, :H] = dc * gg[t] * gi[t] * (1.0 - gi[t])
-            dz[:, H:2 * H] = dc * c_before * gf[t] * (1.0 - gf[t])
-            dz[:, 2 * H:3 * H] = dc * gi[t] * (1.0 - gg[t] ** 2)
-            dz[:, 3 * H:] = dh * tc[t] * go[t] * (1.0 - go[t])
+            dz[..., :H] = dc * gg[t] * gi[t] * (1.0 - gi[t])
+            dz[..., H:2 * H] = dc * c_before * gf[t] * (1.0 - gf[t])
+            dz[..., 2 * H:3 * H] = dc * gi[t] * (1.0 - gg[t] ** 2)
+            dz[..., 3 * H:] = dh * tc[t] * go[t] * (1.0 - go[t])
             h_before = hs[t - 1] if t > 0 else h0
-            dwx += x[:, t].T @ dz
-            dwh += h_before.T @ dz
-            db += dz.sum(axis=0)
-            dx[:, t] = dz @ wx.T
-            dh_next = dz @ wh.T
+            dwx += xs[:, :, t].transpose(0, 2, 1) @ dz
+            dwh += h_before.transpose(0, 2, 1) @ dz
+            db += dz.sum(axis=1)
+            dxs[:, :, t] = dz @ wxT
+            dh_next = dz @ whT
             dc_next = dc * gf[t]
-        return dx
+        return functools.reduce(np.add, self._steps(dxs))
 
     def output_shape(self, in_shape):
         if len(in_shape) != 2 or in_shape[1] != self.in_dim:
-            raise ShapeMismatch(f"lstm ({self.in_dim} wide) fed {in_shape}")
+            raise ShapeMismatch(f"{self.kind} ({self.in_dim} wide) fed {in_shape}")
+        width = len(self.prefixes) * self.hidden_size
         if self.return_sequences:
-            return (in_shape[0], self.hidden_size)
-        return (self.hidden_size,)
+            return (in_shape[0], width)
+        return (width,)
 
     def hyperparams(self):
         return {
@@ -240,54 +266,13 @@ class LSTM(Layer):
         }
 
 
-class BiLSTM(Layer):
-    """Two independent LSTMs, one over the sequence and one over its reversal.
-
-    Output step t concatenates the forward hidden state at t with the
-    reversed direction's hidden state for the same input position, giving
-    (B, T, 2H). Parameter roles are prefixed ``fwd_`` / ``bwd_``.
-    """
+class BiLSTM(LSTM):
+    """Two independent LSTMs, one over the sequence and one over its
+    reversal: the two-direction case of ``LSTM``, giving (B, T, 2H).
+    Parameter roles are prefixed ``fwd_`` / ``bwd_``."""
 
     kind = "bilstm"
-
-    def __init__(self, in_dim, hidden_size, rng=None):
-        super().__init__()
-        self.in_dim = int(in_dim)
-        self.hidden_size = int(hidden_size)
-        rng = rng or np.random.default_rng(0)
-        self.fwd = LSTM(in_dim, hidden_size, return_sequences=True, rng=rng)
-        self.bwd = LSTM(in_dim, hidden_size, return_sequences=True, rng=rng)
-        self.params = {f"fwd_{k}": v for k, v in self.fwd.params.items()}
-        self.params.update({f"bwd_{k}": v for k, v in self.bwd.params.items()})
-        self._rebind_grads()
-
-    def _rebind_grads(self):
-        self.grads = {f"fwd_{k}": v for k, v in self.fwd.grads.items()}
-        self.grads.update({f"bwd_{k}": v for k, v in self.bwd.grads.items()})
-
-    def forward(self, x, train=False, rng=None):
-        H = self.hidden_size
-        B, T, _ = x.shape
-        out = np.empty((B, T, 2 * H))
-        out[:, :, :H] = self.fwd.forward(x, train=train)
-        hb = self.bwd.forward(x[:, ::-1], train=train)
-        out[:, :, H:] = hb[:, ::-1]
-        return out
-
-    def backward(self, dy):
-        H = self.hidden_size
-        dxf = self.fwd.backward(dy[:, :, :H])
-        dxb = self.bwd.backward(dy[:, ::-1, H:])
-        return dxf + dxb[:, ::-1]
-
-    def output_shape(self, in_shape):
-        if len(in_shape) != 2 or in_shape[1] != self.in_dim:
-            raise ShapeMismatch(f"bilstm ({self.in_dim} wide) fed {in_shape}")
-        return (in_shape[0], 2 * self.hidden_size)
-
-    def zero_grads(self):
-        self.fwd.zero_grads()
-        self.bwd.zero_grads()
+    prefixes = ("fwd_", "bwd_")
 
     def hyperparams(self):
         return {"in_dim": self.in_dim, "hidden_size": self.hidden_size}

@@ -20,8 +20,6 @@ from .errors import EmptyDataset, InputTooShort, NonFiniteLoss
 from .models import build_model
 from .nn.model import bce_with_grad
 
-P_CLAMP = 1e-12  # probability clamp bound for the cross-entropy
-
 
 @dataclass
 class TrainConfig:
@@ -260,6 +258,12 @@ class RunSpec:
     mode: str
     val_fraction: float
     config: TrainConfig
+
+    def __post_init__(self):
+        if not 0.0 <= self.val_fraction < np.inf:
+            raise ValueError(
+                f"the validation fraction must be finite and >= 0, got {self.val_fraction}"
+            )
 
 
 def _rows(ds, a, b):

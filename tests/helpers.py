@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from nowcast.nn import Model
+from nowcast.nn import LSTM, Model
 from nowcast.pipeline import HOUR, MAX_FILL_HOURS
 
 
@@ -122,6 +122,18 @@ def save_model_reference(model, path):
                 fh.write(struct.pack("<B", arr.ndim))
                 fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
                 fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+
+
+def bilstm_halves(layer):
+    """Two standalone ``LSTM`` layers holding copies of a ``BiLSTM``'s
+    ``fwd_*`` and ``bwd_*`` weights."""
+    halves = []
+    for prefix in ("fwd_", "bwd_"):
+        half = LSTM(layer.in_dim, layer.hidden_size)
+        for role in ("wx", "wh", "b"):
+            half.params[role][...] = layer.params[prefix + role]
+        halves.append(half)
+    return halves
 
 
 def make_model(input_shape, layers, name="test", mode="canonical"):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    bilstm_halves,
     conv1d_reference,
     count_windows_brute_force,
     lstm_reference,
@@ -191,8 +192,9 @@ def test_criterion_4_forward_oracle_equivalence():
         layer = BiLSTM(d, H, rng=rng)
         x = rng.standard_normal((2, T, d))
         out = layer.forward(x)
-        bilstm_ok &= np.array_equal(out[:, :, :H], layer.fwd.forward(x))
-        bilstm_ok &= np.array_equal(out[:, :, H:], layer.bwd.forward(x[:, ::-1])[:, ::-1])
+        half_f, half_b = bilstm_halves(layer)
+        bilstm_ok &= np.array_equal(out[:, :, :H], half_f.forward(x))
+        bilstm_ok &= np.array_equal(out[:, :, H:], half_b.forward(x[:, ::-1])[:, ::-1])
 
     ok = conv_ok and lstm_max <= 1e-12 and bilstm_ok
     gate(4, "forward passes match independent oracles", ok,

@@ -129,6 +129,16 @@ class TestTrainEvaluateInspect:
         assert code == 0
         assert "flattened" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("fraction", ["-0.5", "inf"])
+    def test_bad_validation_split_is_data_error(self, prepared_dir, tmp_path, fraction):
+        out = tmp_path / "run"
+        code = main([
+            "train", "--train", os.path.join(prepared_dir, "train.nwc"),
+            "--model", "bilstm", "--epochs", "1", "--val-split", fraction, "--out", str(out),
+        ])
+        assert code == cli.EXIT_DATA
+        assert not (out / "model.nwm").exists()
+
     def test_evaluate_checkpoint(self, prepared_dir, tmp_path, capsys):
         out = tmp_path / "run"
         main([
@@ -290,14 +300,22 @@ class TestGrid:
             raise AssertionError("the grid windowed data")
 
         monkeypatch.setattr(pipeline, "make_windows", refuse)
-        out = tmp_path / "grid"
-        code = main([
-            "grid", "--input", csv_1000h, "--months", "all",
-            "--lookbacks", "6", "--horizons", "1", "--models", "bilstm,transformer",
-            "--epochs", "1", "--out", str(out),
-        ])
-        assert code == cli.EXIT_DATA
-        assert not (out / "grid.csv").exists()
+        # an unknown key, then an entry given twice, then a bad validation split
+        for i, (models_arg, lookbacks, horizons, extra) in enumerate([
+            ("bilstm,transformer", "6", "1", []),
+            ("cnn,bilstm,bilstm", "6,6", "1", []),
+            ("bilstm", "6,6", "1", []),
+            ("bilstm", "6", "1,1", []),
+            ("bilstm", "6", "1", ["--val-split", "-0.5"]),
+        ]):
+            out = tmp_path / f"grid{i}"
+            code = main([
+                "grid", "--input", csv_1000h, "--months", "all",
+                "--lookbacks", lookbacks, "--horizons", horizons, "--models", models_arg,
+                "--epochs", "1", "--out", str(out), *extra,
+            ])
+            assert code == cli.EXIT_DATA
+            assert not (out / "grid.csv").exists()
 
     def test_aliases_keep_their_spelling(self, csv_1000h, tmp_path):
         out = tmp_path / "grid"

@@ -110,6 +110,11 @@ class TestBiLstmClassifier:
         est.fit(X, y)
         assert len(est.log_.records) == 3  # baseline epoch + two stale epochs
 
+    def test_negative_validation_fraction_rejected(self):
+        X, y = toy_problem()
+        with pytest.raises(ValueError):
+            BiLstmClassifier(lookback=4, epochs=1, validation_fraction=-0.5).fit(X, y)
+
 
 class TestConv1dClassifier:
     def test_fit_predict_on_flat_windows(self):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import conv1d_reference, lstm_reference
+from helpers import bilstm_halves, conv1d_reference, lstm_reference
 
 from nowcast.errors import KernelTooLarge, PoolTooLarge, ShapeMismatch
 from nowcast.nn import (
@@ -129,8 +129,9 @@ class TestBiLSTMForward:
             layer = BiLSTM(d, H, rng=rng)
             x = rng.standard_normal((2, T, d))
             out = layer.forward(x)
-            fwd = layer.fwd.forward(x)
-            bwd = layer.bwd.forward(x[:, ::-1])
+            half_f, half_b = bilstm_halves(layer)
+            fwd = half_f.forward(x)
+            bwd = half_b.forward(x[:, ::-1])
             assert np.array_equal(out[:, :, :H], fwd)
             assert np.array_equal(out[:, :, H:], bwd[:, ::-1])
 
@@ -139,8 +140,29 @@ class TestBiLSTMForward:
         layer = BiLSTM(3, 5, rng=rng)
         x = rng.standard_normal((4, 1, 3))
         out = layer.forward(x)
-        assert np.array_equal(out[:, 0, :5], layer.fwd.forward(x)[:, 0])
-        assert np.array_equal(out[:, 0, 5:], layer.bwd.forward(x)[:, 0])
+        half_f, half_b = bilstm_halves(layer)
+        assert np.array_equal(out[:, 0, :5], half_f.forward(x)[:, 0])
+        assert np.array_equal(out[:, 0, 5:], half_b.forward(x)[:, 0])
+
+    def test_backward_halves_equal_standalone_lstms(self):
+        rng = np.random.default_rng(13)
+        for B, T, d, H in [(32, 24, 5, 45), (1, 1, 3, 2)] + [
+            tuple(int(v) for v in rng.integers(1, 7, 4)) for _ in range(10)
+        ]:
+            layer = BiLSTM(d, H, rng=rng)
+            half_f, half_b = bilstm_halves(layer)
+            x = rng.standard_normal((B, T, d))
+            dy = rng.standard_normal((B, T, 2 * H))
+            layer.forward(x)
+            half_f.forward(x)
+            half_b.forward(x[:, ::-1])
+            dx = layer.backward(dy)
+            dxf = half_f.backward(dy[:, :, :H])
+            dxb = half_b.backward(dy[:, ::-1, H:])
+            for role in ("wx", "wh", "b"):
+                assert np.array_equal(layer.grads[f"fwd_{role}"], half_f.grads[role])
+                assert np.array_equal(layer.grads[f"bwd_{role}"], half_b.grads[role])
+            assert np.array_equal(dx, dxf + dxb[:, ::-1])
 
     def test_palindrome_with_tied_params_is_self_reverse(self):
         rng = np.random.default_rng(4)
