@@ -8,7 +8,7 @@ and returns the gradient with respect to its input. Parameter gradients
 are summed over the batch; the trainer owns any 1/B scaling.
 
 Entries of ``params`` and ``grads`` are written in place, never rebound:
-the recurrent layers' entries are per-direction views of stacked arrays.
+the recurrent layers build both on access, as views of stacked arrays.
 """
 
 import functools
@@ -55,8 +55,8 @@ class Layer:
         return {}
 
     def zero_grads(self):
-        for k in self.grads:
-            self.grads[k][...] = 0.0
+        for g in self.grads.values():
+            g[...] = 0.0
 
     def _alloc_grads(self):
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
@@ -130,23 +130,24 @@ class LSTM(Layer):
     ``prefixes`` holds one parameter-role prefix per direction: direction 0
     reads the sequence in order, direction 1 (``BiLSTM``) its reversal.
     wx (D, d, 4H), wh (D, H, 4H) and b (D, 4H) are stored stacked over the
-    D directions; ``params`` and ``grads`` hold per-direction views of
-    them, and each step runs every direction in one batched matmul.
+    D directions; ``params`` and ``grads`` are per-direction views of them,
+    built on access so a copied layer stays tied to what the scan reads.
+    Each step runs every direction in one batched matmul.
 
     Gate blocks are stored in one fused axis ordered (i, f, g, o) with a
     single bias vector per gate block, so the trainable size per direction
     is 4H(d + H + 1). The forget-gate bias starts at 1. Output step t
     concatenates every direction's hidden state for input position t;
     ``return_sequences`` selects between that (B, T, D*H) trace and the
-    (B, D*H) final states. ``forward`` accepts an optional ``initial``
-    (h0, c0) pair, used by tests to probe the cell equations.
+    (B, D*H) final states. The one-direction ``forward`` accepts an optional
+    ``initial`` (h0, c0) pair, used by tests to probe the cell equations.
     """
 
     kind = "lstm"
     prefixes = ("",)
 
     def __init__(self, in_dim, hidden_size, return_sequences=True, rng=None):
-        super().__init__()
+        # no Layer.__init__: params and grads are properties here
         self.in_dim = int(in_dim)
         self.hidden_size = int(hidden_size)
         self.return_sequences = bool(return_sequences)
@@ -164,9 +165,10 @@ class LSTM(Layer):
             self._w["wh"][k] = rng.uniform(-lim_h, lim_h, (h, 4 * h))
         self._w["b"][:, h:2 * h] = 1.0  # forget gate open at init
         self._g = {role: np.zeros_like(w) for role, w in self._w.items()}
-        self.params = self._views(self._w)
-        self.grads = self._views(self._g)
         self._cache = None
+
+    params = property(lambda self: self._views(self._w))
+    grads = property(lambda self: self._views(self._g))
 
     def _views(self, stacked):
         return {
@@ -185,9 +187,11 @@ class LSTM(Layer):
             raise ShapeMismatch(
                 f"{self.kind} expects (B, T>=1, {self.in_dim}), got {x.shape}"
             )
+        D, H = len(self.prefixes), self.hidden_size
+        if initial is not None and D > 1:
+            raise TypeError(f"{self.kind} takes no initial state")
         self._cache = None  # release the last batch's arrays before allocating these
         B, T, _ = x.shape
-        D, H = len(self.prefixes), self.hidden_size
         xs = np.stack(self._steps([x] * D))
         wx, wh, b = self._w["wx"], self._w["wh"], self._w["b"][:, None]
         if initial is None:
@@ -268,11 +272,15 @@ class LSTM(Layer):
 
 class BiLSTM(LSTM):
     """Two independent LSTMs, one over the sequence and one over its
-    reversal: the two-direction case of ``LSTM``, giving (B, T, 2H).
-    Parameter roles are prefixed ``fwd_`` / ``bwd_``."""
+    reversal: the two-direction case of ``LSTM``, always giving the full
+    (B, T, 2H) trace from zero initial states. Parameter roles are prefixed
+    ``fwd_`` / ``bwd_``."""
 
     kind = "bilstm"
     prefixes = ("fwd_", "bwd_")
+
+    def __init__(self, in_dim, hidden_size, rng=None):
+        super().__init__(in_dim, hidden_size, rng=rng)
 
     def hyperparams(self):
         return {"in_dim": self.in_dim, "hidden_size": self.hidden_size}

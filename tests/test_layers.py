@@ -16,6 +16,7 @@ from nowcast.nn import (
     MaxPool1D,
     ReLU,
     Sigmoid,
+    layer_from_hyperparams,
 )
 from nowcast.nn.layers import formula_param_count, model_param_count, sigmoid
 
@@ -177,6 +178,24 @@ class TestBiLSTMForward:
 
     def test_param_count_published_first_layer(self):
         assert BiLSTM(144, 45).param_count() == 68400
+
+    def test_constructor_takes_rng_third_and_no_sequence_switch(self):
+        positional = BiLSTM(3, 4, np.random.default_rng(5))
+        keyword = BiLSTM(3, 4, rng=np.random.default_rng(5))
+        default = BiLSTM(3, 4)
+        for role, v in positional.params.items():
+            assert np.array_equal(v, keyword.params[role])
+        assert not np.array_equal(positional.params["fwd_wx"], default.params["fwd_wx"])
+        with pytest.raises(TypeError):
+            BiLSTM(3, 4, return_sequences=False)
+        with pytest.raises(TypeError):
+            positional.forward(np.zeros((1, 2, 3)), initial=(0.0, 0.0))
+
+    def test_hyperparams_with_sequence_switch_rejected(self):
+        hp = {"in_dim": 3, "hidden_size": 4}
+        assert layer_from_hyperparams("bilstm", hp).hyperparams() == hp
+        with pytest.raises(TypeError):
+            layer_from_hyperparams("bilstm", {**hp, "return_sequences": False})
 
 
 class TestConv1DForward:

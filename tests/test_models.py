@@ -180,6 +180,15 @@ class TestCheckpoint:
         with pytest.raises(CorruptCheckpoint):
             load_model(str(path))
 
+    def test_bilstm_sequence_switch_rejected(self, tmp_path, monkeypatch):
+        model = models.build_lstm_model("canonical", lookback=4, features=5)
+        monkeypatch.setattr(BiLSTM, "hyperparams", LSTM.hyperparams)
+        path = tmp_path / "model.nwm"
+        save_model(model, str(path))
+        monkeypatch.undo()
+        with pytest.raises(CorruptCheckpoint):
+            load_model(str(path))
+
     def test_trailing_garbage_rejected(self, tmp_path):
         model = models.build_lstm_model("canonical", lookback=12, features=5)
         path = tmp_path / "model.nwm"

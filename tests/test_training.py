@@ -1,6 +1,8 @@
 """Loss, optimizer, epoch loop, evaluation, and full-fit behavior."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from helpers import adam_reference, make_model
 
 from nowcast.errors import EmptyDataset, NonFiniteLoss
-from nowcast.nn import Dense, Sigmoid
+from nowcast.nn import LSTM, BiLSTM, Dense, Sigmoid
 from nowcast.nn.model import bce_with_grad as bce_loss
 from nowcast.pipeline import WindowConfig, WindowedDataset
 from nowcast.training import (
@@ -299,3 +301,23 @@ class TestFit:
         log = fit(model, ds, cfg=TrainConfig(epochs=1))
         assert math.isnan(log.records[0].val_loss)
         assert "nan" in log.to_csv_text()
+
+    @pytest.mark.parametrize("clone", [
+        copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m)),
+    ], ids=["deepcopy", "pickle"])
+    def test_copied_recurrent_model_trains(self, clone):
+        rng = np.random.default_rng(18)
+        model = make_model((3, 2), [
+            BiLSTM(2, 3, rng=rng), LSTM(6, 2, return_sequences=False, rng=rng),
+            Dense(2, 1, rng=rng), Sigmoid(),
+        ])
+        ds = dataset(rng.standard_normal((16, 6)), rng.integers(0, 2, 16))
+        twin = clone(model)
+        assert np.array_equal(twin.forward(ds.inputs), model.forward(ds.inputs))
+        before = {k: v.copy() for k, v in twin.params().items()}
+        fit(twin, ds, cfg=TrainConfig(epochs=1, batch_size=4))
+        for k, v in twin.params().items():
+            assert not np.array_equal(v, before[k]), k
+        assert not np.array_equal(twin.forward(ds.inputs), model.forward(ds.inputs))
+        for k, v in model.params().items():
+            assert np.array_equal(v, before[k]), k
