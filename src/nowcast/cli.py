@@ -177,9 +177,10 @@ def _print_metrics(prefix, m):
 
 
 def cmd_train(args):
+    spec = _run_spec(args, args.model)  # a bad setting fails before any loading
     train = pipeline.load_windowed(args.train)
     test = pipeline.load_windowed(args.test) if args.test else None
-    model, log, note = training.run(_run_spec(args, args.model), train, test)
+    model, log, note = training.run(spec, train, test)
     if note:
         print(note)
     os.makedirs(args.out, exist_ok=True)

@@ -20,7 +20,7 @@ from .pipeline import (
     apply_normalizer,
     fit_normalizer,
 )
-from .training import RunSpec, TrainConfig, run
+from .training import RunSpec, TrainConfig, check_threshold, run
 
 
 def check_matrix(X, width=None, name="X"):
@@ -129,6 +129,7 @@ class _WindowNetClassifier(_ParamsMixin):
         return np.column_stack([1.0 - p, p])
 
     def predict(self, X):
+        check_threshold(self.threshold)
         return (self.decision_function(X) >= self.threshold).astype(int)
 
     def score(self, X, y):

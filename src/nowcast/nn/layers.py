@@ -2,10 +2,12 @@
 
 Every layer consumes a batch-leading array: (B, d) for vector layers,
 (B, T, d) for recurrent layers, (B, L, C) for convolutional layers.
-``forward`` caches whatever ``backward`` needs; ``backward`` accumulates
-parameter gradients into ``self.grads`` (mirror shapes of ``self.params``)
-and returns the gradient with respect to its input. Parameter gradients
-are summed over the batch; the trainer owns any 1/B scaling.
+``forward`` keeps what ``backward`` needs (the recurrent layers keep their
+step history only when ``train`` is set; see ``LSTM``); ``backward``
+accumulates parameter gradients into ``self.grads`` (mirror shapes of
+``self.params``) and returns the gradient with respect to its input.
+Parameter gradients are summed over the batch; the trainer owns any 1/B
+scaling.
 
 Entries of ``params`` and ``grads`` are written in place, never rebound:
 the recurrent layers build both on access, as views of stacked arrays.
@@ -141,6 +143,14 @@ class LSTM(Layer):
     ``return_sequences`` selects between that (B, T, D*H) trace and the
     (B, D*H) final states. The one-direction ``forward`` accepts an optional
     ``initial`` (h0, c0) pair, used by tests to probe the cell equations.
+
+    Only a train-mode forward keeps the per-step gate and state history that
+    ``backward`` reads. An eval forward runs the same scan through one
+    step slot, holds only the steps it returns, and keeps a reference to
+    its input; a ``backward`` after it first reruns the scan in train mode,
+    with the *current* weights, to rebuild the history. The scan is
+    deterministic, so with unchanged weights that history, and so the
+    gradients, are bit-identical to those after a train-mode forward.
     """
 
     kind = "lstm"
@@ -165,7 +175,7 @@ class LSTM(Layer):
             self._w["wh"][k] = rng.uniform(-lim_h, lim_h, (h, 4 * h))
         self._w["b"][:, h:2 * h] = 1.0  # forget gate open at init
         self._g = {role: np.zeros_like(w) for role, w in self._w.items()}
-        self._cache = None
+        self._cache = self._input = None
 
     params = property(lambda self: self._views(self._w))
     grads = property(lambda self: self._views(self._g))
@@ -190,7 +200,7 @@ class LSTM(Layer):
         D, H = len(self.prefixes), self.hidden_size
         if initial is not None and D > 1:
             raise TypeError(f"{self.kind} takes no initial state")
-        self._cache = None  # release the last batch's arrays before allocating these
+        self._cache = self._input = None  # release the last batch before allocating
         B, T, _ = x.shape
         xs = np.stack(self._steps([x] * D))
         wx, wh, b = self._w["wx"], self._w["wh"], self._w["b"][:, None]
@@ -199,27 +209,37 @@ class LSTM(Layer):
         else:
             h0, c0 = (np.broadcast_to(v, (D, B, H)).astype(float) for v in initial)
         h_prev, c_prev = h0, c0
-        gates = np.empty((T, D, B, 4 * H))  # activated i, f, g, o
-        cs = np.empty((T, D, B, H))
-        tc = np.empty((T, D, B, H))
-        hs = np.empty((T, D, B, H))
+        # eval keeps no history: one step slot per buffer, rewritten every
+        # step, and hs holds only the steps returned
+        n = T if train else 1
+        gates = np.empty((n, D, B, 4 * H))  # activated i, f, g, o
+        cs = np.empty((n, D, B, H))
+        tc = np.empty((n, D, B, H))
+        hs = np.empty((T if self.return_sequences else n, D, B, H))
         for t in range(T):
+            s = t % n
             z = xs[:, :, t] @ wx + h_prev @ wh + b
-            a = gates[t]
+            a = gates[s]
             a[..., :2 * H] = sigmoid(z[..., :2 * H])
             a[..., 2 * H:3 * H] = np.tanh(z[..., 2 * H:3 * H])
             a[..., 3 * H:] = sigmoid(z[..., 3 * H:])
             c_prev = a[..., H:2 * H] * c_prev + a[..., :H] * a[..., 2 * H:3 * H]
-            cs[t] = c_prev
-            tc[t] = np.tanh(c_prev)
-            h_prev = a[..., 3 * H:] * tc[t]
-            hs[t] = h_prev
-        self._cache = (xs, gates, cs, tc, hs, h0, c0)
+            cs[s] = c_prev
+            tc[s] = np.tanh(c_prev)
+            h_prev = a[..., 3 * H:] * tc[s]
+            hs[t % len(hs)] = h_prev
+        if train:
+            self._cache = (xs, gates, cs, tc, hs, h0, c0)
+        else:
+            self._input = (x, initial)
         if self.return_sequences:
             return np.concatenate(self._steps(hs.transpose(1, 2, 0, 3)), axis=2)
-        return hs[T - 1].transpose(1, 0, 2).reshape(B, D * H)
+        return hs[-1].transpose(1, 0, 2).reshape(B, D * H)
 
     def backward(self, dy):
+        if self._cache is None:  # after an eval forward: rebuild the history
+            x, initial = self._input
+            self.forward(x, train=True, initial=initial)
         xs, gates, cs, tc, hs, h0, c0 = self._cache
         D, B, T, _ = xs.shape
         H = self.hidden_size

@@ -101,7 +101,10 @@ def gradient_check(model, x, y, eps=1e-6):
     """Max relative error between analytic and central-difference gradients.
 
     The loss is mean BCE over the batch. Dropout stays in eval mode (the
-    check runs train=False), so the loss surface is deterministic. Intended
+    check runs train=False), so the loss surface is deterministic. The
+    analytic gradients come from ``backward`` after that eval forward: the
+    recurrent layers keep no history in eval mode, so their ``backward``
+    reruns the scan in train mode first, which gives the same bits. Intended
     for desk-scale models (< 1e4 parameters).
     """
     x = np.asarray(x, dtype=np.float64)

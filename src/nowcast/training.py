@@ -34,12 +34,16 @@ class TrainConfig:
     min_delta: float = 1e-4      # improvement below this does not reset patience
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        if not 0 <= self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError("beta1/beta2 must be in [0, 1)")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.patience is not None and self.patience < 1:
+            raise ValueError(f"patience must be >= 1, got {self.patience}")
 
 
 class AdamState:
@@ -137,8 +141,15 @@ def train_epoch(model, dataset, cfg, rng, state=None, epoch=0):
     return EpochMetrics(loss=loss_sum / n, accuracy=correct / n)
 
 
+def check_threshold(threshold):
+    """A decision threshold must be a finite number in [0, 1]."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"the threshold must be a number in [0, 1], got {threshold}")
+
+
 def evaluate(model, dataset, threshold=0.5, batch_size=512):
     """Eval-mode metrics at a decision threshold; p == threshold counts as 1."""
+    check_threshold(threshold)
     X = np.asarray(dataset.inputs, dtype=np.float64)
     y = np.asarray(dataset.targets, dtype=np.float64)
     n = X.shape[0]

@@ -139,6 +139,33 @@ class TestTrainEvaluateInspect:
         assert code == cli.EXIT_DATA
         assert not (out / "model.nwm").exists()
 
+    @pytest.mark.parametrize("setting", [
+        ["--epochs", "-1"],
+        ["--epochs", "1", "--patience", "0"],
+        ["--epochs", "1", "--lr", "nan"],
+    ])
+    def test_bad_training_setting_is_data_error(self, prepared_dir, tmp_path, setting):
+        out = tmp_path / "run"
+        code = main([
+            "train", "--train", os.path.join(prepared_dir, "train.nwc"),
+            "--model", "bilstm", *setting, "--out", str(out),
+        ])
+        assert code == cli.EXIT_DATA
+        assert not (out / "model.nwm").exists()
+
+    @pytest.mark.parametrize("threshold", ["nan", "-0.1", "1.5"])
+    def test_bad_threshold_is_data_error(self, prepared_dir, tmp_path, threshold):
+        out = tmp_path / "run"
+        main([
+            "train", "--train", os.path.join(prepared_dir, "train.nwc"),
+            "--model", "bilstm", "--epochs", "0", "--out", str(out),
+        ])
+        code = main([
+            "evaluate", "--checkpoint", str(out / "model.nwm"),
+            "--data", os.path.join(prepared_dir, "test.nwc"), "--threshold", threshold,
+        ])
+        assert code == cli.EXIT_DATA
+
     def test_evaluate_checkpoint(self, prepared_dir, tmp_path, capsys):
         out = tmp_path / "run"
         main([
@@ -313,6 +340,20 @@ class TestGrid:
                 "grid", "--input", csv_1000h, "--months", "all",
                 "--lookbacks", lookbacks, "--horizons", horizons, "--models", models_arg,
                 "--epochs", "1", "--out", str(out), *extra,
+            ])
+            assert code == cli.EXIT_DATA
+            assert not (out / "grid.csv").exists()
+
+    def test_bad_training_setting_fails_before_windowing(self, csv_1000h, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the grid windowed data")
+
+        monkeypatch.setattr(pipeline, "make_windows", refuse)
+        for i, setting in enumerate([["--epochs", "-1"], ["--patience", "0"], ["--lr", "inf"]]):
+            out = tmp_path / f"grid{i}"
+            code = main([
+                "grid", "--input", csv_1000h, "--months", "all", "--lookbacks", "6",
+                "--horizons", "1", "--models", "bilstm", "--out", str(out), *setting,
             ])
             assert code == cli.EXIT_DATA
             assert not (out / "grid.csv").exists()

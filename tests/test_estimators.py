@@ -115,6 +115,21 @@ class TestBiLstmClassifier:
         with pytest.raises(ValueError):
             BiLstmClassifier(lookback=4, epochs=1, validation_fraction=-0.5).fit(X, y)
 
+    @pytest.mark.parametrize("setting", [
+        {"epochs": -1}, {"patience": 0}, {"learning_rate": float("nan")},
+    ])
+    def test_bad_training_setting_rejected(self, setting):
+        X, y = toy_problem()
+        with pytest.raises(ValueError):
+            BiLstmClassifier(lookback=4, **{"epochs": 1, **setting}).fit(X, y)
+
+    @pytest.mark.parametrize("threshold", [float("nan"), -0.1, 1.1])
+    def test_bad_threshold_rejected_by_predict(self, threshold):
+        X, y = toy_problem()
+        est = BiLstmClassifier(lookback=4, epochs=0, threshold=threshold).fit(X, y)
+        with pytest.raises(ValueError, match="threshold"):
+            est.predict(X)
+
 
 class TestConv1dClassifier:
     def test_fit_predict_on_flat_windows(self):

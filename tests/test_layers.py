@@ -1,11 +1,15 @@
 """Forward-pass correctness of every layer against independent oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from helpers import bilstm_halves, conv1d_reference, lstm_reference
 
 from nowcast.errors import KernelTooLarge, PoolTooLarge, ShapeMismatch
+from nowcast.estimators import BiLstmClassifier
+from nowcast.models import build_lstm_model
 from nowcast.nn import (
     BiLSTM,
     Conv1D,
@@ -196,6 +200,71 @@ class TestBiLSTMForward:
         assert layer_from_hyperparams("bilstm", hp).hyperparams() == hp
         with pytest.raises(TypeError):
             layer_from_hyperparams("bilstm", {**hp, "return_sequences": False})
+
+
+def recurrent_layers(seed, d=5, H=45):
+    """(layer, initial) pairs: a full-sequence LSTM without and with an
+    initial state, a last-state LSTM with one, and a BiLSTM without."""
+    rng = np.random.default_rng(seed)
+    initial = (rng.standard_normal(H), rng.standard_normal(H))  # broadcast over B
+    return [
+        (LSTM(d, H, rng=np.random.default_rng(seed)), None),
+        (LSTM(d, H, rng=np.random.default_rng(seed)), initial),
+        (LSTM(d, H, return_sequences=False, rng=np.random.default_rng(seed)), initial),
+        (BiLSTM(d, H, rng=np.random.default_rng(seed)), None),
+    ]
+
+
+class TestEvalScan:
+    """An eval forward keeps no backward history; its output, and a later
+    backward (which rebuilds the history), match train mode bit for bit."""
+
+    SIZES = [(B, T) for B in (1, 32, 512) for T in (1, 24)]
+
+    @pytest.mark.parametrize("B, T", SIZES)
+    def test_eval_output_equals_train_output(self, B, T):
+        x = np.random.default_rng(B + T).standard_normal((B, T, 5))
+        for layer, initial in recurrent_layers(seed=3):
+            got = layer.forward(x, initial=initial)
+            assert np.array_equal(got, layer.forward(x, train=True, initial=initial))
+
+    @pytest.mark.parametrize("B, T", SIZES)
+    def test_backward_after_eval_equals_backward_after_train(self, B, T):
+        rng = np.random.default_rng(B * T)
+        x = rng.standard_normal((B, T, 5))
+        for (evaluated, initial), (trained, _) in zip(recurrent_layers(7), recurrent_layers(7)):
+            dy = rng.standard_normal((B, *evaluated.output_shape((T, 5))))
+            evaluated.forward(x, initial=initial)
+            trained.forward(x, train=True, initial=initial)
+            assert np.array_equal(evaluated.backward(dy), trained.backward(dy))
+            for role, grad in trained.grads.items():
+                assert np.array_equal(evaluated.grads[role], grad)
+
+    def test_canonical_net_eval_forward_memory(self):
+        model = build_lstm_model("canonical", lookback=24, features=5)
+        x = np.random.default_rng(0).random((512, model.input_width))
+        tracemalloc.start()
+        try:
+            model.forward(x)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a kept step history, a (T, D, B, 4H) gate block and three
+        # (T, D, B, H) state blocks per recurrent layer, left 91 MB
+        assert peak < 50e6
+        assert held < 20e6
+
+    def test_classifier_decision_function_memory(self):
+        rng = np.random.default_rng(1)
+        X = rng.random((512, 120))
+        est = BiLstmClassifier(lookback=24, epochs=0).fit(X[:64], rng.integers(0, 2, 64))
+        tracemalloc.start()
+        try:
+            est.decision_function(X)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 20e6
 
 
 class TestConv1DForward:

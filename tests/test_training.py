@@ -72,6 +72,24 @@ class TestBceLoss:
         assert np.isfinite(loss).all() and np.isfinite(dp).all()
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("setting", [
+        {"epochs": -1},
+        {"patience": 0},
+        {"patience": -2},
+        {"learning_rate": np.nan},
+        {"learning_rate": np.inf},
+        {"learning_rate": -1e-3},
+    ])
+    def test_bad_setting_rejected(self, setting):
+        with pytest.raises(ValueError):
+            TrainConfig(**setting)
+
+    def test_edge_settings_accepted(self):
+        cfg = TrainConfig(epochs=0, patience=1, learning_rate=0.0)
+        assert (cfg.epochs, cfg.patience, cfg.learning_rate) == (0, 1, 0.0)
+
+
 class TestAdam:
     def test_zero_gradient_leaves_params_unchanged(self):
         params = {"w": np.array([1.0, -2.0, 3.0])}
@@ -231,6 +249,16 @@ class TestEvaluate:
     def test_empty_dataset(self):
         with pytest.raises(EmptyDataset):
             evaluate(linear_head(2), dataset(np.zeros((0, 2)), []))
+
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -0.5, 1.5])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        with pytest.raises(ValueError, match="threshold"):
+            evaluate(linear_head(2), dataset([[1.0, 0.0]], [1]), threshold=threshold)
+
+    def test_unit_interval_ends_accepted(self):
+        ds = dataset([[1.0, 0.0]], [1])
+        assert evaluate(linear_head(2), ds, threshold=0.0).tp == 1
+        assert evaluate(linear_head(2), ds, threshold=1.0).fn == 1
 
 
 class TestDropoutTrainEvalGap:
