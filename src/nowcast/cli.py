@@ -8,8 +8,9 @@ Exit codes: 0 success, 1 usage, 2 data error, 3 numeric failure,
 do not overlap training, which holds the interpreter lock). Each cell
 trains on its own (train, test) pair with its own seed, so the worker
 count never changes results; at 1, the default, the cells run in order in
-this process. Each worker holds OpenBLAS to one thread, so the workers
-do not oversubscribe the cores.
+this process; a value that is not a whole number of at least 1 is a data
+error. Each worker holds OpenBLAS to one thread, so the workers do not
+oversubscribe the cores.
 """
 
 import argparse
@@ -268,11 +269,16 @@ def _grid_table(cells, model_keys, combos):
 
 
 def worker_count():
+    """``NOWCAST_THREADS`` as a worker count; ``ValueError`` unless it is a
+    whole number of at least 1."""
     raw = os.environ.get("NOWCAST_THREADS", "1")
     try:
-        return max(1, int(raw))
+        count = int(raw)
     except ValueError:
-        return 1
+        count = 0
+    if count < 1:
+        raise ValueError(f"NOWCAST_THREADS must be a whole number >= 1, got {raw!r}")
+    return count
 
 
 def _one_blas_thread():
@@ -308,6 +314,7 @@ def _one_blas_thread():
 
 
 def cmd_grid(args):
+    threads = worker_count()
     model_keys = [m.strip() for m in args.models.split(",")]
     lookbacks = [int(v) for v in args.lookbacks.split(",")]
     horizons = [int(v) for v in args.horizons.split(",")]
@@ -329,7 +336,7 @@ def cmd_grid(args):
         (mk, L, h, prepared[(L, h)], specs[mk], args.out)
         for (L, h) in combos for mk in model_keys
     ]
-    workers = min(worker_count(), len(tasks))
+    workers = min(threads, len(tasks))
     if workers > 1:
         # imported here: multiprocessing adds ~20 ms to start-up, which
         # only a pooled grid needs

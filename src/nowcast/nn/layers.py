@@ -2,9 +2,10 @@
 
 Every layer consumes a batch-leading array: (B, d) for vector layers,
 (B, T, d) for recurrent layers, (B, L, C) for convolutional layers.
-``forward`` keeps what ``backward`` needs (the recurrent layers keep their
-step history only when ``train`` is set; see ``LSTM``); ``backward``
-accumulates parameter gradients into ``self.grads`` (mirror shapes of
+Only ``forward(train=True)`` keeps what ``backward`` needs; an eval
+forward keeps nothing and drops what an earlier train forward kept, so
+``backward`` must follow a train-mode forward. ``backward`` accumulates
+parameter gradients into ``self.grads`` (mirror shapes of
 ``self.params``) and returns the gradient with respect to its input.
 Parameter gradients are summed over the batch; the trainer owns any 1/B
 scaling.
@@ -87,7 +88,7 @@ class Dense(Layer):
             raise ShapeMismatch(
                 f"dense expects (B, {self.in_dim}), got {x.shape}"
             )
-        self._x = x
+        self._x = x if train else None
         return x @ self.params["w"] + self.params["b"]
 
     def backward(self, dy):
@@ -108,8 +109,9 @@ class ReLU(Layer):
     kind = "relu"
 
     def forward(self, x, train=False, rng=None):
-        self._mask = x > 0
-        return x * self._mask
+        mask = x > 0
+        self._mask = mask if train else None
+        return x * mask
 
     def backward(self, dy):
         return dy * self._mask
@@ -119,8 +121,9 @@ class Sigmoid(Layer):
     kind = "sigmoid"
 
     def forward(self, x, train=False, rng=None):
-        self._y = sigmoid(x)
-        return self._y
+        y = sigmoid(x)
+        self._y = y if train else None
+        return y
 
     def backward(self, dy):
         return dy * self._y * (1.0 - self._y)
@@ -146,11 +149,8 @@ class LSTM(Layer):
 
     Only a train-mode forward keeps the per-step gate and state history that
     ``backward`` reads. An eval forward runs the same scan through one
-    step slot, holds only the steps it returns, and keeps a reference to
-    its input; a ``backward`` after it first reruns the scan in train mode,
-    with the *current* weights, to rebuild the history. The scan is
-    deterministic, so with unchanged weights that history, and so the
-    gradients, are bit-identical to those after a train-mode forward.
+    step slot, holds only the steps it returns and keeps nothing after it
+    returns; its outputs are bit-identical to a train-mode forward's.
     """
 
     kind = "lstm"
@@ -175,7 +175,7 @@ class LSTM(Layer):
             self._w["wh"][k] = rng.uniform(-lim_h, lim_h, (h, 4 * h))
         self._w["b"][:, h:2 * h] = 1.0  # forget gate open at init
         self._g = {role: np.zeros_like(w) for role, w in self._w.items()}
-        self._cache = self._input = None
+        self._cache = None
 
     params = property(lambda self: self._views(self._w))
     grads = property(lambda self: self._views(self._g))
@@ -200,7 +200,7 @@ class LSTM(Layer):
         D, H = len(self.prefixes), self.hidden_size
         if initial is not None and D > 1:
             raise TypeError(f"{self.kind} takes no initial state")
-        self._cache = self._input = None  # release the last batch before allocating
+        self._cache = None  # release the last batch before allocating
         B, T, _ = x.shape
         xs = np.stack(self._steps([x] * D))
         wx, wh, b = self._w["wx"], self._w["wh"], self._w["b"][:, None]
@@ -230,16 +230,11 @@ class LSTM(Layer):
             hs[t % len(hs)] = h_prev
         if train:
             self._cache = (xs, gates, cs, tc, hs, h0, c0)
-        else:
-            self._input = (x, initial)
         if self.return_sequences:
             return np.concatenate(self._steps(hs.transpose(1, 2, 0, 3)), axis=2)
         return hs[-1].transpose(1, 0, 2).reshape(B, D * H)
 
     def backward(self, dy):
-        if self._cache is None:  # after an eval forward: rebuild the history
-            x, initial = self._input
-            self.forward(x, train=True, initial=initial)
         xs, gates, cs, tc, hs, h0, c0 = self._cache
         D, B, T, _ = xs.shape
         H = self.hidden_size
@@ -359,7 +354,7 @@ class Conv1D(Layer):
             xp[:, left:left + L] = x
         else:
             xp = x
-        self._xp = xp
+        self._xp = xp if train else None
         self._trim = (left, L)
         Lo = xp.shape[1] - k + 1
         kernel, bias = self.params["kernel"], self.params["bias"]
@@ -430,7 +425,7 @@ class MaxPool1D(Layer):
             raise PoolTooLarge(f"pool {p} on length-{L} input")
         n = L // p
         xr = x[:, :n * p].reshape(B, n, p, C)
-        self._argmax = xr.argmax(axis=2)
+        self._argmax = xr.argmax(axis=2) if train else None
         self._in_shape = (B, L, C)
         return xr.max(axis=2)
 

@@ -13,7 +13,9 @@ class Model:
 
     ``forward`` reshapes each (B, width) batch to (B, *input_shape) before
     the first layer, so a timestep-major window row lands as (T, F) per
-    sample. A trailing (B, 1) output is squeezed to (B,).
+    sample. A trailing (B, 1) output is squeezed to (B,). ``backward``
+    needs the last forward to have run with ``train`` set: an eval forward
+    keeps no layer state.
     """
 
     def __init__(self, name, mode, input_shape, layers):
@@ -22,6 +24,7 @@ class Model:
         self.input_shape = tuple(int(s) for s in input_shape)
         self.layers = list(layers)
         self._squeezed = False
+        self._backward_ready = False
         self.output_shapes()  # validates layer chaining at build time
 
     @property
@@ -35,8 +38,10 @@ class Model:
                 f"model {self.name!r} expects (B, {self.input_width}), got {x.shape}"
             )
         out = x.reshape(x.shape[0], *self.input_shape)
+        self._backward_ready = False
         for layer in self.layers:
             out = layer.forward(out, train=train, rng=rng)
+        self._backward_ready = bool(train)
         if out.ndim == 2 and out.shape[1] == 1:
             self._squeezed = True
             return out[:, 0]
@@ -44,6 +49,8 @@ class Model:
         return out
 
     def backward(self, dy):
+        if not self._backward_ready:
+            raise RuntimeError("backward needs a train-mode forward")
         dy = np.asarray(dy, dtype=np.float64)
         if self._squeezed:
             dy = dy[:, None]
@@ -100,23 +107,24 @@ def bce_with_grad(p, y):
 def gradient_check(model, x, y, eps=1e-6):
     """Max relative error between analytic and central-difference gradients.
 
-    The loss is mean BCE over the batch. Dropout stays in eval mode (the
-    check runs train=False), so the loss surface is deterministic. The
-    analytic gradients come from ``backward`` after that eval forward: the
-    recurrent layers keep no history in eval mode, so their ``backward``
-    reruns the scan in train mode first, which gives the same bits. Intended
-    for desk-scale models (< 1e4 parameters).
+    The loss is mean BCE over the batch. Every forward, the analytic one
+    and each numeric one, runs in train mode with a fresh generator of the
+    same seed, so every dropout layer draws the same mask on every call:
+    the loss surface is deterministic and dropout's backward is checked
+    with the rest. Intended for desk-scale models (< 1e4 parameters).
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = x.shape[0]
 
+    def forward():
+        return model.forward(x, train=True, rng=np.random.default_rng(0))
+
     def loss_value():
-        p = model.forward(x, train=False)
-        return float(bce_with_grad(p, y)[0].mean())
+        return float(bce_with_grad(forward(), y)[0].mean())
 
     model.zero_grads()
-    p = model.forward(x, train=False)
+    p = forward()
     _, dp = bce_with_grad(p, y)
     model.backward(dp / n)
     analytic = {k: v.copy() for k, v in model.grads().items()}

@@ -286,6 +286,7 @@ def test_criterion_7_overfit_smoke():
     gate(7, "both models overfit the 64-row fixture", ok, "; ".join(results))
 
 
+@pytest.mark.slow
 def test_criterion_8_synthetic_skill():
     t0 = time.perf_counter()
     series = synthetic.make_series(5000, seed=42, label_noise=0.05)
@@ -360,6 +361,7 @@ def test_criterion_9_grid_determinism(tmp_path):
          f"files={sorted(runs[0])}")
 
 
+@pytest.mark.slow
 def test_criterion_10_qualitative_ordering(tmp_path):
     # the source datasets are not archived, so the check runs on a generated
     # rainy-city series; absolute accuracies are recorded, not asserted

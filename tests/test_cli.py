@@ -358,6 +358,24 @@ class TestGrid:
             assert code == cli.EXIT_DATA
             assert not (out / "grid.csv").exists()
 
+    @pytest.mark.parametrize("threads", ["abc", "0", "-3", "1.5"])
+    def test_bad_thread_count_fails_before_parsing(
+        self, csv_1000h, tmp_path, monkeypatch, capsys, threads
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the grid parsed its input")
+
+        monkeypatch.setattr(pipeline, "parse_raw_csv", refuse)
+        monkeypatch.setenv("NOWCAST_THREADS", threads)
+        out = tmp_path / "grid"
+        code = main([
+            "grid", "--input", csv_1000h, "--months", "all", "--lookbacks", "6",
+            "--horizons", "1", "--models", "bilstm", "--out", str(out),
+        ])
+        assert code == cli.EXIT_DATA
+        assert "NOWCAST_THREADS" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_aliases_keep_their_spelling(self, csv_1000h, tmp_path):
         out = tmp_path / "grid"
         code = main([

@@ -138,6 +138,20 @@ def test_dropout_layer_is_identity_in_check():
     check(model, seed=17)
 
 
+def test_check_catches_dropout_backward_that_ignores_its_mask(monkeypatch):
+    # the check runs dropout in train mode with one fixed mask per call, so a
+    # backward that drops the mask no longer agrees with the loss it measures
+    rng = np.random.default_rng(20)
+    model = make_model(
+        (5,),
+        [Dense(5, 6, rng=rng), Dropout(0.4), ReLU(), Dense(6, 1, rng=rng), Sigmoid()],
+    )
+    x, y = random_batch(np.random.default_rng(21), 4, 5)
+    assert gradient_check(model, x, y) < TOL
+    monkeypatch.setattr(Dropout, "backward", lambda self, dy: dy)
+    assert gradient_check(model, x, y) > TOL
+
+
 def test_input_gradient_matches_finite_differences():
     # not only parameter gradients: the gradient w.r.t. the input itself
     rng = np.random.default_rng(18)
@@ -149,7 +163,7 @@ def test_input_gradient_matches_finite_differences():
     from nowcast.nn.model import bce_with_grad
 
     x, y = random_batch(np.random.default_rng(19), 3, 8)
-    p = model.forward(x)
+    p = model.forward(x, train=True)
     _, dp = bce_with_grad(p, y)
     model.zero_grads()
     dx = model.backward(dp / len(y))

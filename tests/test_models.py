@@ -143,6 +143,21 @@ class TestBuildDispatch:
             models.build_model("perceptron")
 
 
+class TestBackwardContract:
+    @pytest.mark.parametrize("name, mode", [("bilstm", "canonical"), ("cnn", "flat")])
+    def test_backward_needs_train_mode_forward(self, name, mode):
+        model = models.build_model(name, mode, lookback=24, features=5)
+        x = np.random.default_rng(0).random((3, model.input_width))
+        dy = np.ones(3)
+        with pytest.raises(RuntimeError, match="train-mode forward"):
+            model.backward(dy)  # before any forward
+        model.forward(x, train=True, rng=np.random.default_rng(1))
+        assert model.backward(dy).shape == x.shape
+        model.forward(x)
+        with pytest.raises(RuntimeError, match="train-mode forward"):
+            model.backward(dy)
+
+
 class TestCheckpoint:
     def test_round_trip_preserves_everything(self, tmp_path):
         model = models.build_lstm_model("canonical", lookback=12, features=5, seed=9)

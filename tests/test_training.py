@@ -203,7 +203,7 @@ class TestFullBatchTaylorCheck:
 
         loss0 = full_loss()
         model.zero_grads()
-        p = model.forward(X)
+        p = model.forward(X, train=True)
         _, dp = bce_with_grad(p, y)
         model.backward(dp / len(y))
         grads = {k: v.copy() for k, v in model.grads().items()}
