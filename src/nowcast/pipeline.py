@@ -54,6 +54,10 @@ INDIAN_HEADER = (
 KAGGLE_PARAMETERS = (
     "temperature", "wind_speed", "humidity", "pressure", "weather_description",
 )
+# np.loadtxt fields of an indian-schema body row: year, month and day, the
+# HH:MM clock, then the FEATURES readings (the rain column still raw)
+_INDIAN_DTYPE = [("date", "<i8", (3,)), ("clock", "<U6"), ("readings", "<f8", (FEATURE_COUNT,))]
+_MONTH_DAYS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 
 
 @dataclass(frozen=True)
@@ -251,15 +255,23 @@ def binarize_rain(raw_label, rule):
 
 
 def _as_text_lines(source):
-    """Accept a path string, raw bytes, or file-like object; return a text stream."""
+    """The text lines of a path string, raw bytes, or file-like object, as
+    iterating the decoded stream yields them; a leading UTF-8 byte-order
+    mark is dropped."""
     if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
-    if isinstance(source, str):
-        return open(source, "r", encoding="utf-8", newline="")
-    if isinstance(source, io.TextIOBase):
-        return source
-    # binary stream
-    return io.TextIOWrapper(source, encoding="utf-8", newline="")
+        lines = io.StringIO(source.decode("utf-8")).readlines()
+    elif isinstance(source, str):
+        with open(source, "r", encoding="utf-8", newline="") as fh:
+            lines = fh.readlines()
+    elif isinstance(source, io.TextIOBase):
+        lines = source.readlines()
+    else:  # binary stream
+        lines = io.TextIOWrapper(source, encoding="utf-8", newline="").readlines()
+    if lines and lines[0].startswith("\ufeff"):
+        lines[0] = lines[0][1:]
+        if not lines[0]:
+            del lines[0]
+    return lines
 
 
 _EPOCH = datetime(1970, 1, 1)
@@ -275,10 +287,10 @@ def _epoch_seconds(ts):
 
 def _finish_series(stamps, values, station_id):
     """Sort, deduplicate, and wrap parsed stamps and flat feature values."""
-    if not stamps:
+    if not len(stamps):
         raise NoData("no valid rows parsed")
-    stamps = np.array(stamps, dtype=np.int64)
-    values = np.array(values, dtype=np.float64).reshape(-1, FEATURE_COUNT)
+    stamps = np.asarray(stamps, dtype=np.int64)
+    values = np.asarray(values, dtype=np.float64).reshape(-1, FEATURE_COUNT)
     if (stamps[1:] < stamps[:-1]).any():
         warnings.warn("records out of order; sorting by timestamp", NonMonotonicWarning)
         order = np.argsort(stamps, kind="stable")  # stable: file order kept among ties
@@ -328,8 +340,9 @@ def _indian_row(fields, rule):
     )
 
 
-def _parse_indian(stream, station_id):
-    reader = csv.reader(stream)
+def _indian_reader(lines):
+    """A csv reader over ``lines`` past their checked indian-schema header."""
+    reader = csv.reader(lines)
     try:
         header = next(reader)
     except StopIteration:
@@ -337,6 +350,79 @@ def _parse_indian(stream, station_id):
     normalized = tuple(h.strip().lower().replace(" ", "") for h in header)
     if normalized[: len(INDIAN_HEADER)] != INDIAN_HEADER:
         raise MalformedRow(1, f"expected header {INDIAN_HEADER}, got {normalized}")
+    return reader
+
+
+def _days_from_civil(year, month, day):
+    """Days from 1970-01-01 to proleptic Gregorian dates given as int64
+    arrays (Hinnant's days_from_civil)."""
+    year = year - (month <= 2)
+    era = year // 400
+    yoe = year - era * 400
+    doy = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
+    return era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
+
+
+def _indian_columns(body):
+    """Stamps and the (M, 5) value block of an indian-schema body, read as
+    columns in one ``np.loadtxt`` pass; None unless every row is a plain
+    valid record, since only the row loop can name a bad row.
+
+    loadtxt itself rejects quoted or empty fields, ``2014.0`` as an int,
+    underscores, non-ASCII digits, whitespace-only lines and rows of other
+    than nine fields. The clock is read six wide and must be exactly
+    ``DD:DD``, so ``07:055`` (07:55 to the row loop) falls through; a body
+    with a NUL falls through too, as loadtxt drops one from a clock's end.
+    """
+    if "\0" in "".join(body):
+        return None
+    try:
+        with warnings.catch_warnings():
+            # "input contained no data", or an older numpy that parses
+            # 2014.0 as an int with a DeprecationWarning: both fall through
+            warnings.simplefilter("error")
+            rows = np.loadtxt(
+                body, dtype=_INDIAN_DTYPE, delimiter=",", comments=None, ndmin=1
+            )
+    except (ValueError, Warning):
+        return None
+    year, month, day = rows["date"].T
+    codes = np.ascontiguousarray(rows["clock"]).view("<u4").reshape(-1, 6)
+    digits = codes[:, [0, 1, 3, 4]].astype(np.int64) - ord("0")
+    hh = digits[:, 0] * 10 + digits[:, 1]
+    mm = digits[:, 2] * 10 + digits[:, 3]
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    month_days = np.array(_MONTH_DAYS)[np.clip(month, 1, 12) - 1] + ((month == 2) & leap)
+    t, w, hm, p, rain = rows["readings"].T
+    ok = (
+        (1 <= year) & (year <= 9999) & (1 <= month) & (month <= 12)
+        & (1 <= day) & (day <= month_days)
+        & ((0 <= digits) & (digits <= 9)).all(axis=1)
+        & (codes[:, 2] == ord(":")) & (codes[:, 5] == 0) & (hh <= 23) & (mm <= 59)
+        & np.isfinite(t) & np.isfinite(w) & np.isfinite(p)
+        & (0.0 <= hm) & (hm <= 100.0) & (p > 0.0)
+    )
+    if not ok.all():
+        return None
+    stamps = _days_from_civil(year, month, day) * DAY_S + hh * HOUR_S + mm * 60
+    values = rows["readings"].copy()
+    values[:, RAIN_INDEX] = rain != 0.0
+    return stamps, values
+
+
+def _parse_indian(lines, station_id):
+    """Parse the body as columns; a body that fails that path goes through
+    the row loop, which reports its first bad row."""
+    reader = _indian_reader(lines)
+    columns = _indian_columns(lines[reader.line_num:])
+    if columns is None:
+        return _parse_indian_rows(lines, station_id)
+    return _finish_series(*columns, station_id or "indian-station")
+
+
+def _parse_indian_rows(lines, station_id):
+    """Parse row by row, stopping at the first bad row with its line number."""
+    reader = _indian_reader(lines)
     rule = LabelRule.numeric_passthrough()
     isfinite = math.isfinite
     stamps = []
@@ -368,9 +454,9 @@ def _parse_indian(stream, station_id):
     return _finish_series(stamps, values, station_id or "indian-station")
 
 
-def _parse_kaggle_table(stream, city, what, numeric):
+def _parse_kaggle_table(lines, city, what, numeric):
     """One wide parameter file: datetime column plus one column per city."""
-    reader = csv.reader(stream)
+    reader = csv.reader(lines)
     try:
         header = next(reader)
     except StopIteration:
@@ -440,12 +526,7 @@ def parse_raw_csv(source, schema="indian", city=None, station_id=None):
     binarized into the rain flag.
     """
     if schema == "indian":
-        stream = _as_text_lines(source)
-        try:
-            return _parse_indian(stream, station_id)
-        finally:
-            if isinstance(source, str):
-                stream.close()
+        return _parse_indian(_as_text_lines(source), station_id)
     if schema in ("kaggle_city", "kaggle"):
         if city is None:
             raise ValueError("kaggle schema needs a city")
@@ -582,10 +663,10 @@ def split_chronological(ds, spec=SplitSpec()):
         )
     def take(idx):
         return WindowedDataset(
-            inputs=ds.inputs[idx].copy(),
-            targets=ds.targets[idx].copy(),
+            inputs=ds.inputs[idx],
+            targets=ds.targets[idx],
             config=ds.config,
-            anchors=ds.anchors[idx].copy(),
+            anchors=ds.anchors[idx],
             norm_stats=ds.norm_stats,
         )
     return take(order[:n_train]), take(order[n_train:])
@@ -618,9 +699,10 @@ def apply_normalizer(ds, stats):
     span = stats.maxs - stats.mins
     safe = np.where(span == 0.0, 1.0, span)
     x = ds.inputs.reshape(ds.n_rows, -1, F)
-    scaled = (x - stats.mins) / safe
+    scaled = x - stats.mins
+    scaled /= safe
     scaled[..., span == 0.0] = 0.0
-    scaled = np.clip(scaled, CLAMP_LO, CLAMP_HI)
+    np.clip(scaled, CLAMP_LO, CLAMP_HI, out=scaled)
     return WindowedDataset(
         inputs=scaled.reshape(ds.n_rows, -1),
         targets=ds.targets.copy(),
@@ -634,20 +716,18 @@ def save_windowed(ds, path):
     """Write the flat binary container: magic NWC1, uint32 N/L/F/h, then
     row-major float64 inputs, N target bytes, and F (min, max) float64
     pairs (NaN pairs when unnormalized). Little-endian throughout."""
-    n = ds.n_rows
     cfg = ds.config
-    parts = [
-        CONTAINER_MAGIC,
-        struct.pack("<IIII", n, cfg.lookback, cfg.features, cfg.horizon),
-        np.ascontiguousarray(ds.inputs, dtype="<f8").tobytes(),
-        np.ascontiguousarray(ds.targets, dtype=np.uint8).tobytes(),
-    ]
     if ds.norm_stats is None:
         pairs = np.full((cfg.features, 2), np.nan)
     else:
         pairs = np.stack([ds.norm_stats.mins, ds.norm_stats.maxs], axis=1)
-    parts.append(np.ascontiguousarray(pairs, dtype="<f8").tobytes())
-    atomic_write_bytes(path, b"".join(parts))
+    atomic_write_bytes(
+        path,
+        CONTAINER_MAGIC + struct.pack("<IIII", ds.n_rows, cfg.lookback, cfg.features, cfg.horizon),
+        np.ascontiguousarray(ds.inputs, dtype="<f8"),
+        np.ascontiguousarray(ds.targets, dtype=np.uint8),
+        np.ascontiguousarray(pairs, dtype="<f8"),
+    )
 
 
 def load_windowed(path):

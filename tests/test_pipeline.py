@@ -292,6 +292,57 @@ class TestParseKaggle:
         assert exc_info.value.line_no == 2
 
 
+def as_source(text, kind, path):
+    """``text`` as one of the source kinds parse_raw_csv accepts."""
+    data = text.encode("utf-8")
+    if kind == "path":
+        path.write_bytes(data)
+        return str(path)
+    return {"bytes": data, "binary": io.BytesIO(data), "text": io.StringIO(text)}[kind]
+
+
+SOURCE_KINDS = ("path", "bytes", "binary", "text")
+
+
+class TestByteOrderMark:
+    """A leading UTF-8 byte-order mark is not part of the first field."""
+
+    @staticmethod
+    def columns(series):
+        return series.stamps.tobytes(), series.values.tobytes(), series.offsets.tobytes()
+
+    @pytest.mark.parametrize("kind", SOURCE_KINDS)
+    def test_indian_file_parses_as_without_mark(self, kind, tmp_path):
+        plain = parse_raw_csv(as_source(RAW_SAMPLE, kind, tmp_path / "plain.csv"))
+        marked = parse_raw_csv(as_source("\ufeff" + RAW_SAMPLE, kind, tmp_path / "bom.csv"))
+        assert self.columns(marked) == self.columns(plain)
+
+    @pytest.mark.parametrize("kind", SOURCE_KINDS)
+    def test_indian_errors_keep_their_line(self, kind, tmp_path):
+        bad = RAW_SAMPLE.replace("26,19,74,1005,0", "26,19,120,1005,0")
+        with pytest.raises(MalformedRow) as exc_info:
+            parse_raw_csv(as_source("\ufeff" + bad, kind, tmp_path / "bom.csv"))
+        assert str(exc_info.value) == "unparseable row at line 3: humidity 120.0 outside [0, 100]"
+
+    @pytest.mark.parametrize("kind", SOURCE_KINDS)
+    def test_mark_alone_is_an_empty_file(self, kind, tmp_path):
+        with pytest.raises(NoData, match="empty file"):
+            parse_raw_csv(as_source("\ufeff", kind, tmp_path / "bom.csv"))
+
+    @pytest.mark.parametrize("kind", SOURCE_KINDS)
+    def test_kaggle_tables_parse_as_without_mark(self, kind, tmp_path):
+        texts = {p: t.getvalue() for p, t in kaggle_tables(12).items()}
+        plain = parse_raw_csv(
+            {p: as_source(t, kind, tmp_path / f"{p}.csv") for p, t in texts.items()},
+            schema="kaggle_city", city="Rainville",
+        )
+        marked = parse_raw_csv(
+            {p: as_source("\ufeff" + t, kind, tmp_path / f"bom_{p}.csv") for p, t in texts.items()},
+            schema="kaggle_city", city="Rainville",
+        )
+        assert self.columns(marked) == self.columns(plain)
+
+
 class TestResampleHourly:
     def test_sample_rows_reduce_to_three_hours(self):
         series = resample_hourly(parse_raw_csv(io.StringIO(RAW_SAMPLE)))
@@ -628,6 +679,20 @@ class TestContainer:
 
         n, L, F, h = struct.unpack("<IIII", blob[4:20])
         assert (n, L, F, h) == (ds.n_rows, 7, 5, 2)
+
+    def test_bytes_follow_the_layout(self, tmp_path):
+        import struct
+
+        ds = self.make_normalized(seed=24)
+        ds.inputs = np.asfortranarray(ds.inputs)  # still written row-major
+        path = tmp_path / "layout.nwc"
+        save_windowed(ds, str(path))
+        pairs = np.stack([ds.norm_stats.mins, ds.norm_stats.maxs], axis=1)
+        assert path.read_bytes() == b"".join([
+            b"NWC1", struct.pack("<IIII", ds.n_rows, 4, 5, 1),
+            ds.inputs.astype("<f8").tobytes(order="C"),
+            ds.targets.astype(np.uint8).tobytes(), pairs.astype("<f8").tobytes(),
+        ])
 
 
 class TestObservationInvariants:

@@ -1,5 +1,6 @@
 """Property-based checks of the pipeline laws: the columnar parse, resample
-and month filter against the scalar references in ``helpers``, the window
+and month filter against the scalar references in ``helpers``, the columnar
+CSV parse against the row loop on files with edge rows, the window
 count law, resample idempotence, chronological split order, the
 normalizer round trip, the ``.nwc`` container round trip, and the
 ``.nwm`` checkpoint round trip, truncation and bytes on small random
@@ -29,6 +30,7 @@ from nowcast.errors import (
     CorruptCheckpoint,
     CorruptContainer,
     DuplicateTimestampWarning,
+    MalformedRow,
     NoData,
     NonMonotonicWarning,
     SegmentTooShortWarning,
@@ -40,6 +42,8 @@ from nowcast.pipeline import (
     ObservationSeries,
     SplitSpec,
     WindowConfig,
+    _indian_columns,
+    _parse_indian_rows,
     apply_normalizer,
     filter_monsoon,
     fit_normalizer,
@@ -173,6 +177,128 @@ def test_parse_sorts_and_dedupes_like_the_reference(rows):
     assert (DuplicateTimestampWarning in categories) == (dupes > 0)
     if dupes:
         assert f"{dupes} duplicate timestamp(s)" in str(caught[-1].message)
+
+
+# body rows by how they parse: as they stand on the columnar path, as
+# valid rows only the row loop reads, or as errors
+EDGE_ROWS = {
+    "columnar": [
+        "2016,2,29,23:59,-0.0,0.0,100,1e-300,-0.0",   # leap day, -0.0, edge readings
+        "2000,02,29,00:00,1e308,5e-324,0,1e308,nan",  # leap century, nan rain is wet
+        "1,1,1,00:00,-1e308,1,0.5,1,inf",             # the first day a date can hold
+        "9999,12,31,23:59,1,1,1,1,-inf",              # and the last
+        " +2015 , 007 ,\t9 ,12:30, 28.6 ,\t14.6\t,60,1005,0",  # padded and signed fields
+        "",                                            # blank line
+    ],
+    "row_loop": [
+        "2014,1,1,07:055,28.6,14.6,60.0,1005.0,1",     # 07:55
+        "2014,1,1, 07:05 ,28.6,14.6,60.0,1005.0,1",
+        '2014,1,1,"07:05",28.6,14.6,60.0,1005.0,1',
+        '2014,1,1,07:05,"28.6",14.6,60.0,1005.0,1',
+        "2_014,1,1,07:05,2_8.6,14.6,60.0,1005.0,1",
+        "٢٠١٤,1,1,07:05,２８.6,14.6,60.0,1005.0,1",  # non-ASCII digits
+        "2014,1,1,07:05,28.6,14.6,60.0,1005.0,1,",     # trailing comma: a tenth field
+        "2014,1,1,07:05,28.6,14.6,60.0,1005.0,1,extra",
+        "2014,1,1,7:5,28.6,14.6,60.0,1005.0,1",        # 07:05
+        "   ",
+        " , , , , , , , , ",
+    ],
+    "bad": [
+        "2014,1,1,0000,28:6,14.6,60.0,1005.0,14.8",    # ten fields if ':' were a comma
+        "2014.0,1,1,07:05,28.6,14.6,60.0,1005.0,1",
+        "2014,1,1,07:05,,14.6,60.0,1005.0,1",
+        "2014,1,1,07:05,28.6,14.6,60.0,1005.0",
+        "2015,2,29,07:05,28.6,14.6,60.0,1005.0,1",      # not a leap year
+        "1900,2,29,07:05,28.6,14.6,60.0,1005.0,1",
+        "2014,6,31,07:05,28.6,14.6,60.0,1005.0,1",
+        "0,1,1,07:05,28.6,14.6,60.0,1005.0,1",
+        "10000,1,1,07:05,28.6,14.6,60.0,1005.0,1",
+        "2014,13,1,07:05,28.6,14.6,60.0,1005.0,1",
+        "2014,1,0,07:05,28.6,14.6,60.0,1005.0,1",
+        "2014,1,1,24:00,28.6,14.6,60.0,1005.0,1",
+        "2014,1,1,07:60,28.6,14.6,60.0,1005.0,1",
+        "2014,1,1,07:05\x00,28.6,14.6,60.0,1005.0,1",
+        "2014,1,1,07:05,nan,14.6,60.0,1005.0,1",
+        "2014,1,1,07:05,28.6,inf,60.0,1005.0,1",
+        "2014,1,1,07:05,28.6,14.6,100.5,1005.0,1",
+        "2014,1,1,07:05,28.6,14.6,-0.5,1005.0,1",
+        "2014,1,1,07:05,28.6,14.6,60.0,0.0,1",
+        "2014,1,1,07:05,28.6,14.6,60.0,inf,1",
+        "2014,1,1,07:05,28.6,14.6,60.0,1005.0,rain",
+    ],
+}
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def plain_row(draw):
+    ts = draw(st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59)))
+    readings = (
+        draw(FINITE), draw(FINITE), draw(st.floats(0.0, 100.0)),
+        draw(st.floats(0.0, exclude_min=True, allow_infinity=False)),
+        draw(st.one_of(st.sampled_from(["0", "1", "0.0", "-0.0", "2.5"]), FINITE.map(repr))),
+    )
+    fields = [str(ts.year), str(ts.month), str(ts.day), f"{ts.hour:02d}:{ts.minute:02d}"]
+    return ",".join(fields + [r if isinstance(r, str) else repr(r) for r in readings])
+
+
+@st.composite
+def station_file(draw):
+    """(text, kind): plain rows with up to two edge rows spliced in; kind
+    names the worst edge row, so "columnar" means the columnar parse must
+    take the whole body."""
+    rows = draw(st.lists(plain_row(), max_size=12))
+    kind = "columnar"
+    for _ in range(draw(st.integers(0, 2))):
+        pool = draw(st.sampled_from(list(EDGE_ROWS)))
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(EDGE_ROWS[pool])))
+        kind = max(kind, pool, key=list(EDGE_ROWS).index)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join([",".join(INDIAN_HEADER)] + rows)
+    if draw(st.booleans()):
+        text += end
+    return text, kind
+
+
+def parse_outcome(parse, text):
+    """A parse's stamps, values and offsets bytes and its warnings, or its
+    error's type, line and message."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            series = parse(io.StringIO(text))
+        except (MalformedRow, NoData) as exc:
+            return type(exc), getattr(exc, "line_no", None), str(exc)
+    arrays = (series.stamps, series.values, series.offsets)
+    return (
+        [(a.dtype, a.shape, a.tobytes()) for a in arrays],
+        [(w.category, str(w.message)) for w in caught],
+    )
+
+
+def assert_parses_like_the_row_loop(text, kind):
+    assert parse_outcome(parse_raw_csv, text) == parse_outcome(
+        lambda stream: _parse_indian_rows(stream, None), text
+    )
+    body = io.StringIO(text).readlines()[1:]
+    has_rows = any(line.strip() for line in body)
+    assert (_indian_columns(body) is not None) == (kind == "columnar" and has_rows)
+
+
+@pytest.mark.parametrize("kind, row", [
+    pytest.param(kind, row, id=f"{kind}-{i}")
+    for kind, rows in EDGE_ROWS.items() for i, row in enumerate(rows)
+])
+def test_edge_row_parses_like_the_row_loop(kind, row):
+    plain = "2014,3,1,10:00,28.6,14.6,60.0,1005.0,0"
+    text = "\n".join([",".join(INDIAN_HEADER), plain, row, plain.replace("10:", "11:")])
+    assert_parses_like_the_row_loop(text, kind)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(station_file())
+def test_columnar_parse_matches_the_row_loop(file):
+    assert_parses_like_the_row_loop(*file)
 
 
 @PROPERTY
