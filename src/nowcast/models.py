@@ -261,10 +261,6 @@ class ParityReport:
         """Mismatches not excused by a canned note."""
         return [(row.label, *fault) for row in self.rows for fault in self._faults(row)]
 
-    @property
-    def ok(self):
-        return not self.unexpected()
-
     def require_clean(self):
         bad = self.unexpected()
         if bad:

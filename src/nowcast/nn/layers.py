@@ -332,7 +332,7 @@ class Conv1D(Layer):
         self._alloc_grads()
         self._xp = None
 
-    def _pad(self, L):
+    def _pad(self):
         if self.padding == "same":
             total = self.kernel_size - 1
             left = total // 2
@@ -348,7 +348,7 @@ class Conv1D(Layer):
         k = self.kernel_size
         if self.padding == "valid" and L < k:
             raise KernelTooLarge(f"kernel {k} on length-{L} input")
-        left, right = self._pad(L)
+        left, right = self._pad()
         if left or right:
             xp = np.zeros((B, L + left + right, ci))
             xp[:, left:left + L] = x

@@ -21,8 +21,7 @@ import math
 import struct
 import warnings
 from dataclasses import dataclass
-from datetime import date, datetime, timedelta
-from functools import lru_cache
+from datetime import datetime, timedelta
 
 import numpy as np
 
@@ -214,13 +213,10 @@ class WindowedDataset:
 @dataclass(frozen=True)
 class SplitSpec:
     train_fraction: float = 0.8
-    policy: str = "chronological"
 
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")
-        if self.policy != "chronological":
-            raise ValueError(f"unknown split policy {self.policy!r}")
 
 
 @dataclass(frozen=True)
@@ -255,27 +251,20 @@ def binarize_rain(raw_label, rule):
 
 
 def _as_text_lines(source):
-    """The text lines of a path string, raw bytes, or file-like object, as
-    iterating the decoded stream yields them; a leading UTF-8 byte-order
-    mark is dropped."""
-    if isinstance(source, bytes):
-        lines = io.StringIO(source.decode("utf-8")).readlines()
-    elif isinstance(source, str):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            lines = fh.readlines()
-    elif isinstance(source, io.TextIOBase):
-        lines = source.readlines()
-    else:  # binary stream
-        lines = io.TextIOWrapper(source, encoding="utf-8", newline="").readlines()
-    if lines and lines[0].startswith("\ufeff"):
-        lines[0] = lines[0][1:]
-        if not lines[0]:
-            del lines[0]
-    return lines
+    """The text lines of a path string, raw bytes, or file-like object,
+    split at LF, CRLF or a lone CR as a file opened with ``newline=""``
+    splits them; a leading UTF-8 byte-order mark is dropped. A caller's
+    stream is read to its end but left open."""
+    if isinstance(source, str):
+        with open(source, "r", encoding="utf-8-sig", newline="") as fh:
+            return fh.readlines()
+    text = source if isinstance(source, bytes) else source.read()
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    return io.StringIO(text.removeprefix("\ufeff"), newline="").readlines()
 
 
 _EPOCH = datetime(1970, 1, 1)
-_EPOCH_ORDINAL = _EPOCH.toordinal()
 HOUR_S = 3600
 DAY_S = 86400
 
@@ -308,21 +297,6 @@ def _finish_series(stamps, values, station_id):
     return ObservationSeries.from_columns(
         station_id, stamps, values, np.zeros(n, dtype=bool), np.array([0, n]), cadence=None
     )
-
-
-@lru_cache(maxsize=1 << 16)
-def _midnight(year, month, day):
-    """Epoch seconds at 00:00 of a date given as year, month, day fields."""
-    return (date(int(year), int(month), int(day)).toordinal() - _EPOCH_ORDINAL) * DAY_S
-
-
-@lru_cache(maxsize=1 << 16)
-def _clock(text):
-    """Seconds after midnight of an ``HH:MM`` field."""
-    hh, mm = map(int, text.strip().split(":"))
-    if not (0 <= hh <= 23 and 0 <= mm <= 59):
-        raise ValueError(text)
-    return hh * HOUR_S + mm * 60
 
 
 def _indian_row(fields, rule):
@@ -424,33 +398,19 @@ def _parse_indian_rows(lines, station_id):
     """Parse row by row, stopping at the first bad row with its line number."""
     reader = _indian_reader(lines)
     rule = LabelRule.numeric_passthrough()
-    isfinite = math.isfinite
     stamps = []
     values = []
     for line_no, fields in enumerate(reader, start=2):
-        # fast path: plain checks on the fields; a row that fails one is
-        # skipped if blank and otherwise rebuilt as an Observation, so the
-        # error it raises carries Observation's own text
+        if not fields or all(not f.strip() for f in fields):
+            continue
+        if len(fields) < 9:
+            raise MalformedRow(line_no, f"expected 9 columns, got {len(fields)}")
         try:
-            stamp = _midnight(fields[0], fields[1], fields[2]) + _clock(fields[3])
-            t, w, hm, p = float(fields[4]), float(fields[5]), float(fields[6]), float(fields[7])
-            r = 1.0 if float(fields[8]) != 0.0 else 0.0
-            ok = isfinite(t) and isfinite(w) and isfinite(p) and 0.0 <= hm <= 100.0 and p > 0.0
-        except (ValueError, IndexError, OverflowError):
-            ok = False
-        if not ok:
-            if not fields or all(not f.strip() for f in fields):
-                continue
-            if len(fields) < 9:
-                raise MalformedRow(line_no, f"expected 9 columns, got {len(fields)}")
-            try:
-                obs = _indian_row(fields, rule)
-            except (ValueError, IndexError, OverflowError) as exc:
-                raise MalformedRow(line_no, str(exc)) from None
-            stamp = _epoch_seconds(obs.timestamp)
-            t, w, hm, p, r = obs.features()
-        stamps.append(stamp)
-        values.extend((t, w, hm, p, r))
+            obs = _indian_row(fields, rule)
+        except (ValueError, IndexError, OverflowError) as exc:
+            raise MalformedRow(line_no, str(exc)) from None
+        stamps.append(_epoch_seconds(obs.timestamp))
+        values.extend(obs.features())
     return _finish_series(stamps, values, station_id or "indian-station")
 
 

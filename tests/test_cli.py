@@ -213,6 +213,23 @@ class TestTrainEvaluateInspect:
         assert code == 0
         assert (out / "trainlog.csv").read_text() == "epoch,train_loss,train_acc,val_loss,val_acc\n"
 
+    def test_model_alias_trains_its_canonical_net(self, prepared_dir, tmp_path, capsys):
+        out = tmp_path / "lstm"
+        code = main([
+            "train", "--train", os.path.join(prepared_dir, "train.nwc"),
+            "--model", "lstm", "--epochs", "0", "--out", str(out),
+        ])
+        assert code == 0
+        assert "trained bilstm_net" in capsys.readouterr().out
+
+    def test_unknown_model_is_usage_error(self, prepared_dir, tmp_path):
+        with pytest.raises(SystemExit) as exc_info:
+            main([
+                "train", "--train", os.path.join(prepared_dir, "train.nwc"),
+                "--model", "transformer", "--out", str(tmp_path / "run"),
+            ])
+        assert exc_info.value.code == cli.EXIT_USAGE
+
 
 class TestVerify:
     def test_bilstm_reference_totals(self, capsys):
@@ -229,6 +246,7 @@ class TestVerify:
     def test_aliases_accepted(self, capsys):
         assert main(["verify", "bilstm"]) == 0
         assert main(["verify", "cnn"]) == 0
+        assert main(["verify", "lstm"]) == 0
 
     def test_unknown_model_is_usage_error(self):
         with pytest.raises(SystemExit) as exc_info:

@@ -96,9 +96,19 @@ class TestParseIndian:
         assert (first.temperature, first.wind_speed) == (27.0, 13.0)
         assert (first.humidity, first.pressure, first.rain) == (84.0, 1004.0, 1)
 
-    def test_bytes_and_binary_stream_inputs(self):
+    def test_bytes_and_binary_stream_inputs(self, tmp_path):
         assert parse_raw_csv(RAW_SAMPLE.encode()).n_records == 6
-        assert parse_raw_csv(io.BytesIO(RAW_SAMPLE.encode())).n_records == 6
+        stream = io.BytesIO(RAW_SAMPLE.encode())
+        assert parse_raw_csv(stream).n_records == 6
+        assert not stream.closed  # the caller's stream stays the caller's
+        # CR-only line ends split like the same file given as a path
+        cr_only = RAW_SAMPLE.replace("\n", "\r").encode()
+        path = tmp_path / "cr.csv"
+        path.write_bytes(cr_only)
+        expected = parse_raw_csv(str(path)).records
+        assert len(expected) == 6
+        for source in (cr_only, io.BytesIO(cr_only), io.StringIO(cr_only.decode())):
+            assert parse_raw_csv(source).records == expected
 
     def test_empty_file_raises_nodata(self):
         with pytest.raises(NoData):

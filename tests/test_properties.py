@@ -202,6 +202,10 @@ EDGE_ROWS = {
         "2014,1,1,7:5,28.6,14.6,60.0,1005.0,1",        # 07:05
         "   ",
         " , , , , , , , , ",
+        "2014,1,1,+7:05,28.6,14.6,60.0,1005.0,1",       # signed hour
+        "2014,1,1,7:05,28.6,14.6,60.0,1005.0,1",
+        "2014,1,1,07:5,28.6,14.6,60.0,1005.0,1",
+        "2014,1,1,0007:05,28.6,14.6,60.0,1005.0,1",     # wider than the clock column
     ],
     "bad": [
         "2014,1,1,0000,28:6,14.6,60.0,1005.0,14.8",    # ten fields if ':' were a comma
@@ -225,6 +229,8 @@ EDGE_ROWS = {
         "2014,1,1,07:05,28.6,14.6,60.0,0.0,1",
         "2014,1,1,07:05,28.6,14.6,60.0,inf,1",
         "2014,1,1,07:05,28.6,14.6,60.0,1005.0,rain",
+        "2014,1,1,:05,28.6,14.6,60.0,1005.0,1",
+        "2014,1,1,07:05:00,28.6,14.6,60.0,1005.0,1",
     ],
 }
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
