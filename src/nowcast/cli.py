@@ -428,7 +428,7 @@ def build_parser():
     p = sub.add_parser("train", help="train one model on prepared containers")
     p.add_argument("--train", required=True, help="training container (.nwc)")
     p.add_argument("--test", default=None, help="test container (.nwc)")
-    p.add_argument("--model", choices=sorted(models.MODEL_ALIASES), required=True)
+    p.add_argument("--model", type=str.lower, choices=sorted(models.MODEL_ALIASES), required=True)
     _add_train_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
@@ -449,7 +449,7 @@ def build_parser():
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("verify", help="check a parity build against the published counts")
-    p.add_argument("model", choices=sorted(models.MODEL_ALIASES))
+    p.add_argument("model", type=str.lower, choices=sorted(models.MODEL_ALIASES))
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("inspect", help="print a checkpoint's layer table")

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..errors import KernelTooLarge, PoolTooLarge, ShapeMismatch
 
-CONV_CHUNK_ELEMENTS = 1 << 16   # Conv1D forward: output elements per row chunk
+CONV_CHUNK_ELEMENTS = 1 << 16   # Conv1D forward: window-matrix elements per row chunk
 
 
 def sigmoid(x):
@@ -304,12 +304,20 @@ class BiLSTM(LSTM):
 class Conv1D(Layer):
     """1D convolution over (B, L, in_channels) with valid or same padding.
 
-    The forward accumulation runs tap by tap (kernel position major, input
-    channel minor) with elementwise numpy ops only, so each output value is
-    the plain left-to-right sum a scalar reference loop produces: results
-    are bitwise-reproducible against brute force. The backward pass is free
-    to use matmul. Same padding splits k-1 zeros symmetrically with the
-    extra column on the right for even k.
+    The forward lowers each chunk of rows to one window matrix ("im2col"):
+    per output position a row of 1 + k*in_channels values, a leading 1.0
+    and then the taps, kernel position major and input channel minor. One
+    ``np.einsum(..., optimize=False)`` contracts it with the bias-topped
+    kernel matrix, summing each output left to right: the bias, then one
+    rounded product and one rounded add per tap, as the scalar reference
+    loop does. Results are bitwise-reproducible against brute force, with
+    one signed-zero exception: einsum starts its sum at +0.0, so where a
+    bias entry is -0.0 and the whole sum stays zero the output is +0.0
+    where the loop gives -0.0 (equal under ``==``). Training from the zero
+    initial bias never produces a -0.0 bias.
+
+    The backward pass is free to use matmul. Same padding splits k-1 zeros
+    symmetrically with the extra column on the right for even k.
     """
 
     kind = "conv1d"
@@ -340,9 +348,9 @@ class Conv1D(Layer):
         return 0, 0
 
     def forward(self, x, train=False, rng=None):
-        if x.ndim != 3 or x.shape[2] != self.in_channels:
+        if x.ndim != 3 or x.shape[2] != self.in_channels or x.shape[1] < 1:
             raise ShapeMismatch(
-                f"conv1d expects (B, L, {self.in_channels}), got {x.shape}"
+                f"conv1d expects (B, L>=1, {self.in_channels}), got {x.shape}"
             )
         B, L, ci = x.shape
         k = self.kernel_size
@@ -357,20 +365,23 @@ class Conv1D(Layer):
         self._xp = xp if train else None
         self._trim = (left, L)
         Lo = xp.shape[1] - k + 1
-        kernel, bias = self.params["kernel"], self.params["bias"]
-        y = np.empty((B, Lo, self.out_channels))
-        # row chunks keep y's slice and the product buffer in cache; the
-        # tap order per output value, and so every bit, stays the same
-        rows = max(1, CONV_CHUNK_ELEMENTS // max(1, Lo * self.out_channels))
-        prod = np.empty((min(rows, B), Lo, self.out_channels))
+        co, q = self.out_channels, k * ci + 1
+        # row 0 the bias, then the taps; a (q, co + 1) buffer sliced to co
+        # columns is never unit-stride along q, which would send co = 1 to
+        # einsum's vectorised dot and its different summation order
+        kk = np.empty((q, co + 1))[:, :co]
+        kk[0] = self.params["bias"]
+        kk[1:] = self.params["kernel"].reshape(k * ci, co)
+        y = np.empty((B, Lo, co))
+        rows = max(1, CONV_CHUNK_ELEMENTS // (Lo * q))
+        cols = np.empty((min(rows, B), Lo, q))
+        cols[:, :, 0] = 1.0
+        taps = cols[:, :, 1:].reshape(len(cols), Lo, k, ci)
+        windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)
         for a in range(0, B, rows):
-            yc, xc = y[a:a + rows], xp[a:a + rows]
-            buf = prod[:len(yc)]
-            yc[:] = bias
-            for j in range(k):
-                for ic in range(ci):
-                    np.multiply(xc[:, j:j + Lo, ic, None], kernel[j, ic], out=buf)
-                    yc += buf
+            r = min(rows, B - a)
+            taps[:r] = windows[a:a + r].transpose(0, 1, 3, 2)
+            np.einsum("rtq,qo->rto", cols[:r], kk, out=y[a:a + r], optimize=False)
         return y
 
     def backward(self, dy):

@@ -51,6 +51,15 @@ def conv1d_reference(x, kernel, bias, padding="valid"):
     return y
 
 
+def signed_zero_input(rng, shape):
+    """Standard normal values with about a tenth of the entries set to an
+    exact 0.0 and another tenth to -0.0."""
+    x = rng.standard_normal(shape)
+    x[rng.random(shape) < 0.1] = 0.0
+    x[rng.random(shape) < 0.1] = -0.0
+    return x
+
+
 def lstm_reference(x, wx, wh, b, h0=None, c0=None):
     """Scalar step-by-step LSTM for one sample: x (T, d) -> hidden (T, H).
 

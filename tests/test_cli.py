@@ -223,12 +223,21 @@ class TestTrainEvaluateInspect:
         assert "trained bilstm_net" in capsys.readouterr().out
 
     def test_unknown_model_is_usage_error(self, prepared_dir, tmp_path):
-        with pytest.raises(SystemExit) as exc_info:
-            main([
-                "train", "--train", os.path.join(prepared_dir, "train.nwc"),
-                "--model", "transformer", "--out", str(tmp_path / "run"),
-            ])
-        assert exc_info.value.code == cli.EXIT_USAGE
+        for name in ("transformer", "Transformer"):
+            with pytest.raises(SystemExit) as exc_info:
+                main([
+                    "train", "--train", os.path.join(prepared_dir, "train.nwc"),
+                    "--model", name, "--out", str(tmp_path / "run"),
+                ])
+            assert exc_info.value.code == cli.EXIT_USAGE
+
+    def test_model_name_in_any_case(self, prepared_dir, tmp_path, capsys):
+        code = main([
+            "train", "--train", os.path.join(prepared_dir, "train.nwc"),
+            "--model", "CNN", "--epochs", "0", "--out", str(tmp_path / "cnn"),
+        ])
+        assert code == 0
+        assert "trained cnn_net" in capsys.readouterr().out
 
 
 class TestVerify:
@@ -248,10 +257,17 @@ class TestVerify:
         assert main(["verify", "cnn"]) == 0
         assert main(["verify", "lstm"]) == 0
 
+    def test_model_name_in_any_case(self, capsys):
+        assert main(["verify", "bilstm"]) == 0
+        lower = capsys.readouterr().out
+        assert main(["verify", "BiLSTM"]) == 0
+        assert capsys.readouterr().out == lower
+
     def test_unknown_model_is_usage_error(self):
-        with pytest.raises(SystemExit) as exc_info:
-            main(["verify", "transformer"])
-        assert exc_info.value.code == cli.EXIT_USAGE
+        for name in ("transformer", "Transformer"):
+            with pytest.raises(SystemExit) as exc_info:
+                main(["verify", name])
+            assert exc_info.value.code == cli.EXIT_USAGE
 
 
 def blas_threads():

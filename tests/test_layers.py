@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import bilstm_halves, conv1d_reference, lstm_reference
+from helpers import bilstm_halves, conv1d_reference, lstm_reference, signed_zero_input
 
 from nowcast.errors import KernelTooLarge, PoolTooLarge, ShapeMismatch
 from nowcast.estimators import BiLstmClassifier, Conv1dClassifier
@@ -22,7 +22,12 @@ from nowcast.nn import (
     Sigmoid,
     layer_from_hyperparams,
 )
-from nowcast.nn.layers import formula_param_count, model_param_count, sigmoid
+from nowcast.nn.layers import (
+    CONV_CHUNK_ELEMENTS,
+    formula_param_count,
+    model_param_count,
+    sigmoid,
+)
 
 
 class TestDense:
@@ -342,6 +347,77 @@ class TestConv1DForward:
     def test_kernel_longer_than_input_raises(self):
         with pytest.raises(KernelTooLarge):
             Conv1D(1, 1, 5).forward(np.zeros((1, 3, 1)))
+
+
+def package_conv_layers():
+    """Every Conv1D that build_cnn_model builds (flat at lookback 12 and 24,
+    parity, canonical at lookback 60) with the length it is fed, plus
+    one-output-channel layers of at least three summed terms."""
+    cases = []
+    for mode, lookback in [("flat", 12), ("flat", 24), ("parity", 24), ("canonical", 60)]:
+        model = build_cnn_model(mode, lookback=lookback, features=5)
+        shape = model.input_shape
+        for i, layer in enumerate(model.layers):
+            if layer.kind == "conv1d":
+                cases.append(pytest.param(layer, shape[0], id=f"{mode}{lookback}-{i}"))
+            shape = layer.output_shape(shape)
+    for ci, k, padding, L in [(1, 2, "valid", 9), (2, 1, "valid", 7), (1, 8, "valid", 120),
+                              (5, 3, "same", 24), (32, 5, "valid", 40), (64, 3, "same", 14)]:
+        layer = Conv1D(ci, 1, k, padding=padding, rng=np.random.default_rng(ci * k))
+        cases.append(pytest.param(layer, L, id=f"co1-ci{ci}-k{k}-{padding}"))
+    return cases
+
+
+def assert_rows_bit_equal(layer, x, y, rows, channels):
+    """y[b] for each b in rows, on the given output channels, equals the
+    brute-force loop bit for bit."""
+    kernel = layer.params["kernel"][:, :, channels]
+    bias = layer.params["bias"][channels]
+    for b in rows:
+        want = conv1d_reference(x[b], kernel, bias, layer.padding)
+        assert np.array_equal(y[b][:, channels].view(np.uint64), want.view(np.uint64)), b
+
+
+class TestConv1DPackageShapes:
+    """The forward at the shapes the package builds, compared bit for bit
+    (a uint64 view, so -0.0 and +0.0 differ) with the brute-force loop.
+    Inputs hold exact 0.0 and -0.0 entries and the bias is random and
+    non-zero, so no output sum starts from a signed zero."""
+
+    @pytest.mark.parametrize("layer, L", package_conv_layers())
+    def test_sampled_rows_match_reference_bitwise(self, layer, L):
+        rng = np.random.default_rng(layer.kernel_size * L + layer.out_channels)
+        layer.params["bias"][...] = rng.standard_normal(layer.out_channels)
+        co, ci, k = layer.out_channels, layer.in_channels, layer.kernel_size
+        channels = sorted({0, co - 1, *rng.integers(0, co, 2).tolist()})
+        Lo = layer.output_shape((L, ci))[0]
+        rows = max(1, CONV_CHUNK_ELEMENTS // (Lo * (k * ci + 1)))
+        # 2 * rows + 1 rows: two full row chunks and a partial third
+        chunked = 2 * rows + 1
+        for B, sample in [(1, [0]), (3, [0, 1, 2]),
+                          (chunked, [0, rows - 1, rows, chunked - 1])]:
+            x = signed_zero_input(rng, (B, L, ci))
+            assert_rows_bit_equal(layer, x, layer.forward(x), sample, channels)
+
+    @pytest.mark.parametrize("padding", ["valid", "same"])
+    def test_empty_sequence_raises(self, padding):
+        with pytest.raises(ShapeMismatch):
+            Conv1D(2, 3, 3, padding=padding).forward(np.zeros((2, 0, 2)))
+
+    def test_negative_zero_bias_on_a_zero_sum_gives_positive_zero(self):
+        # the sum starts at +0.0, not at the bias: a -0.0 bias whose outputs
+        # stay zero gives +0.0 where the loop gives -0.0; the two are equal
+        # under np.array_equal, the comparison of the forward oracle gate
+        layer = Conv1D(2, 3, 2)
+        layer.params["kernel"][...] = np.abs(layer.params["kernel"])
+        layer.params["bias"][...] = [-0.0, -0.0, 1.5]
+        x = np.full((1, 4, 2), -0.0)   # every product is -0.0
+        got = layer.forward(x)[0]
+        want = conv1d_reference(x[0], layer.params["kernel"], layer.params["bias"])
+        assert np.array_equal(got, want)
+        assert np.signbit(want[:, :2]).all()
+        assert not np.signbit(got).any()
+        assert np.array_equal(got[:, 2].view(np.uint64), want[:, 2].view(np.uint64))
 
 
 class TestPooling:

@@ -19,10 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    conv1d_reference,
     count_windows_brute_force,
     filter_months_reference,
     resample_reference,
     save_model_reference,
+    signed_zero_input,
     sort_dedupe_reference,
 )
 
@@ -502,3 +504,27 @@ def test_every_checkpoint_truncation_is_rejected(model):
             os.truncate(path, cut)  # shortest last: each cut keeps a prefix
             with pytest.raises(CorruptCheckpoint):
                 load_model(path)
+
+
+@PROPERTY
+@given(
+    st.integers(1, 4),
+    st.integers(1, 12),
+    st.one_of(st.just(1), st.integers(1, 6)),
+    st.integers(1, 6),
+    st.sampled_from(["valid", "same"]),
+    st.integers(0, 24),
+    st.integers(0, 2**32 - 1),
+)
+def test_conv1d_forward_matches_the_loop_bitwise(B, ci, co, k, padding, extra, seed):
+    # a non-zero bias, so no output sum starts from a signed zero; inputs
+    # hold exact 0.0 and -0.0; a uint64 view tells -0.0 from +0.0
+    rng = np.random.default_rng(seed)
+    L = (k if padding == "valid" else 1) + extra
+    layer = Conv1D(ci, co, k, padding=padding, rng=rng)
+    layer.params["bias"][...] = rng.standard_normal(co)
+    x = signed_zero_input(rng, (B, L, ci))
+    y = layer.forward(x)
+    for b in range(B):
+        want = conv1d_reference(x[b], layer.params["kernel"], layer.params["bias"], padding)
+        assert np.array_equal(y[b].view(np.uint64), want.view(np.uint64))
