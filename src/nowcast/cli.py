@@ -41,16 +41,13 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 EXIT_PARITY = 4
 
-KAGGLE_FILES = {
-    "temperature": "temperature.csv",
-    "wind_speed": "wind_speed.csv",
-    "humidity": "humidity.csv",
-    "pressure": "pressure.csv",
-    "weather_description": "weather_description.csv",
-}
-
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # no prefix matching: an unknown flag such as --mode must not be
+        # read as --model or --models
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -71,14 +68,14 @@ def _parse_months(text):
 
 def _load_series(args):
     """Parse raw input per schema; for kaggle, input is a directory holding
-    the five standard per-parameter files."""
+    one ``<parameter>.csv`` file per ``pipeline.KAGGLE_PARAMETERS`` entry."""
     if args.schema == "indian":
         return pipeline.parse_raw_csv(args.input, schema="indian")
     if not args.city:
         raise ValueError("--city is required with --schema kaggle")
     tables = {}
-    for param, filename in KAGGLE_FILES.items():
-        path = os.path.join(args.input, filename)
+    for param in pipeline.KAGGLE_PARAMETERS:
+        path = os.path.join(args.input, f"{param}.csv")
         if not os.path.exists(path):
             raise PipelineError(f"missing kaggle file {path}")
         tables[param] = path
@@ -166,7 +163,7 @@ def _run_spec(args, model_key):
         seed=args.seed,
         patience=args.patience,
     )
-    return training.RunSpec(model_key, args.mode, args.val_split, config)
+    return training.RunSpec(model_key, args.val_split, config)
 
 
 def _print_metrics(prefix, m):
@@ -181,9 +178,7 @@ def cmd_train(args):
     spec = _run_spec(args, args.model)  # a bad setting fails before any loading
     train = pipeline.load_windowed(args.train)
     test = pipeline.load_windowed(args.test) if args.test else None
-    model, log, note = training.run(spec, train, test)
-    if note:
-        print(note)
+    model, log = training.run(spec, train, test)
     os.makedirs(args.out, exist_ok=True)
     save_model(model, os.path.join(args.out, "model.nwm"))
     log.save(os.path.join(args.out, "trainlog.csv"))
@@ -225,7 +220,7 @@ def _run_cell(model_key, lookback, horizon, data, spec, out):
     t0 = time.perf_counter()
     try:
         seed = cell_seed(spec.config.seed, model_key, lookback, horizon)
-        _, log, _ = training.run(replace(spec, config=replace(spec.config, seed=seed)), *data)
+        _, log = training.run(replace(spec, config=replace(spec.config, seed=seed)), *data)
         log.save(os.path.join(out, f"trainlog_{model_key}_L{lookback}_h{horizon}.csv"))
         cell.metrics = log.final_test
         cell.epochs_run = len(log.records)
@@ -369,7 +364,7 @@ def cmd_grid(args):
 
 
 def cmd_verify(args):
-    report = models.verify_parity(models.build_model(args.model, "parity"))
+    report = models.verify_parity(models.build_parity_model(args.model))
     print(report.to_text())
     report.require_clean()
     return EXIT_OK
@@ -403,7 +398,6 @@ def _add_data_flags(p):
 
 
 def _add_train_flags(p):
-    p.add_argument("--mode", choices=["canonical", "parity"], default="canonical")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--batch-size", type=int, default=32, dest="batch_size")
@@ -471,10 +465,8 @@ def main(argv=None):
     except NonFiniteLoss as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (PipelineError, CorruptCheckpoint, ShapeMismatch, InputTooShort) as exc:
-        print(f"data error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (ValueError, OSError) as exc:
+    except (PipelineError, CorruptCheckpoint, ShapeMismatch, InputTooShort, ValueError,
+            OSError) as exc:
         print(f"data error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DATA
 

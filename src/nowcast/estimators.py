@@ -70,7 +70,7 @@ class _ParamsMixin:
 
 class _WindowNetClassifier(_ParamsMixin):
     """Shared parameters and fit/predict plumbing for the two network
-    classifiers; a subclass names its ``_model`` key and build ``_mode``."""
+    classifiers; a subclass names its ``_model`` key."""
 
     def __init__(
         self,
@@ -108,8 +108,8 @@ class _WindowNetClassifier(_ParamsMixin):
         )
         # the horizon is not known here, and training does not read it
         data = WindowedDataset(X, y, WindowConfig(self.lookback, 1, self.features))
-        spec = RunSpec(self._model, self._mode, self.validation_fraction, config)
-        self.model_, self.log_, _ = run(spec, data)
+        spec = RunSpec(self._model, self.validation_fraction, config)
+        self.model_, self.log_ = run(spec, data)
         self.n_features_in_ = X.shape[1]
         self.classes_ = np.array([0, 1])
         return self
@@ -143,7 +143,7 @@ class BiLstmClassifier(_WindowNetClassifier):
     Rows reshape to (lookback, features) sequences internally.
     """
 
-    _model, _mode = "bilstm", "canonical"
+    _model = "bilstm"
 
 
 class Conv1dClassifier(_WindowNetClassifier):
@@ -154,7 +154,7 @@ class Conv1dClassifier(_WindowNetClassifier):
     lookback * features.
     """
 
-    _model, _mode = "cnn", "flat"
+    _model = "cnn"
 
 
 class WindowMinMaxScaler(_ParamsMixin):

@@ -5,11 +5,13 @@ Each builder returns a plain sequential Model. ``mode`` selects between:
 * ``parity``    -- the layer sizes that reproduce the published reference
                    tables' parameter counts exactly (flat 144-wide input,
                    treated as one timestep / one channel),
-* ``canonical`` -- the natural sequence form, (lookback, features) input,
+* ``canonical`` -- BiLSTM only: (lookback, features) sequences,
 * ``flat``      -- CNN only: the window flattened to a 1-channel sequence
-                   of length lookback*features, which is how the conv stack
-                   is actually trained (its receptive field is longer than
-                   any 12- or 24-step multichannel sequence).
+                   of length lookback*features (its receptive field is
+                   longer than any 12- or 24-step multichannel sequence).
+
+``build_model`` builds the form each net is trained in; parity builds
+serve ``verify_parity`` only.
 
 ``verify_parity`` compares a parity build against the published per-layer
 counts and shapes. The published tables carry a handful of internal
@@ -142,9 +144,9 @@ def build_lstm_model(mode="canonical", lookback=24, features=5, seed=0):
     return Model(BILSTM_NET, mode, input_shape, layers)
 
 
-def _cnn_layers(in_channels, rng):
+def _cnn_layers(rng):
     return [
-        Conv1D(in_channels, 32, 8, rng=rng),
+        Conv1D(1, 32, 8, rng=rng),
         Conv1D(32, 32, 5, rng=rng),
         MaxPool1D(3),
         Conv1D(32, 64, 3, padding="same", rng=rng),
@@ -163,7 +165,7 @@ def _cnn_layers(in_channels, rng):
 
 def cnn_min_length():
     """Shortest input length the conv/pool chain accepts."""
-    layers = _cnn_layers(1, np.random.default_rng(0))
+    layers = _cnn_layers(np.random.default_rng(0))
     length = 1
     while True:
         try:
@@ -176,28 +178,32 @@ def cnn_min_length():
 CNN_MIN_LENGTH = cnn_min_length()
 
 
-def build_cnn_model(mode="canonical", lookback=24, features=5, seed=0):
+def build_cnn_model(mode="flat", lookback=24, features=5, seed=0):
     """Eight-conv classifier with two 3-wide max pools, global average
     pooling, 40% dropout, and a sigmoid dense output.
 
-    parity mode consumes the flat 144-wide row as a 1-channel sequence (the
-    published reference shape). canonical mode consumes (lookback, features)
-    with one channel per feature but needs lookback >= CNN_MIN_LENGTH; flat
-    mode consumes the row as a 1-channel sequence of length
-    lookback*features, which is the form the experiments train.
+    Both modes feed the row as a 1-channel sequence: parity the flat
+    144-wide row (the published reference shape), flat the lookback*features
+    window row, which is the form the experiments train. A sequence shorter
+    than CNN_MIN_LENGTH raises InputTooShort.
     """
     rng = np.random.default_rng(seed)
     if mode == "parity":
-        input_shape = (PARITY_WIDTH, 1)
-    elif mode == "canonical":
-        input_shape = (int(lookback), int(features))
+        length = PARITY_WIDTH
     elif mode == "flat":
-        input_shape = (int(lookback) * int(features), 1)
+        length = int(lookback) * int(features)
     else:
         raise ValueError(f"unknown mode {mode!r} for {CNN_NET}")
-    if input_shape[0] < CNN_MIN_LENGTH:
-        raise InputTooShort(input_shape[0], CNN_MIN_LENGTH)
-    return Model(CNN_NET, mode, input_shape, _cnn_layers(input_shape[1], rng))
+    if length < CNN_MIN_LENGTH:
+        raise InputTooShort(length, CNN_MIN_LENGTH)
+    return Model(CNN_NET, mode, (length, 1), _cnn_layers(rng))
+
+
+# canonical name -> (builder, the input form the net is trained in)
+_BUILDS = {
+    BILSTM_NET: (build_lstm_model, "canonical"),
+    CNN_NET: (build_cnn_model, "flat"),
+}
 
 
 def model_name(key):
@@ -210,10 +216,18 @@ def model_name(key):
         ) from None
 
 
-def build_model(name, mode="canonical", lookback=24, features=5, seed=0):
-    """Dispatch on model name or alias (see ``MODEL_ALIASES``)."""
-    builder = build_lstm_model if model_name(name) == BILSTM_NET else build_cnn_model
+def build_model(name, lookback=24, features=5, seed=0):
+    """The net of a name or alias (see ``MODEL_ALIASES``) in the form it is
+    trained in: the BiLSTM reads (lookback, features) sequences, the CNN
+    one sequence of lookback*features values."""
+    builder, mode = _BUILDS[model_name(name)]
     return builder(mode, lookback, features, seed)
+
+
+def build_parity_model(name):
+    """The parity build of a name or alias, for ``verify_parity``."""
+    builder, _ = _BUILDS[model_name(name)]
+    return builder("parity")
 
 
 @dataclass

@@ -58,20 +58,22 @@ class Model:
             dy = layer.backward(dy)
         return dy.reshape(dy.shape[0], -1)
 
+    def _named(self, store):
+        """Each layer's ``store`` dict ("params" or "grads") merged, keyed
+        '<index>.<kind>.<role>'."""
+        return {
+            f"{i:02d}.{layer.kind}.{role}": arr
+            for i, layer in enumerate(self.layers)
+            for role, arr in getattr(layer, store).items()
+        }
+
     def params(self):
         """Named parameter arrays, keyed '<index>.<kind>.<role>'."""
-        out = {}
-        for i, layer in enumerate(self.layers):
-            for role, arr in layer.params.items():
-                out[f"{i:02d}.{layer.kind}.{role}"] = arr
-        return out
+        return self._named("params")
 
     def grads(self):
-        out = {}
-        for i, layer in enumerate(self.layers):
-            for role, arr in layer.grads.items():
-                out[f"{i:02d}.{layer.kind}.{role}"] = arr
-        return out
+        """Named gradient arrays, keyed as ``params``."""
+        return self._named("grads")
 
     def zero_grads(self):
         for layer in self.layers:

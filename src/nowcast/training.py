@@ -16,28 +16,27 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._io import atomic_write_text
-from .errors import EmptyDataset, InputTooShort, NonFiniteLoss
+from .errors import EmptyDataset, NonFiniteLoss
 from .models import build_model
 from .nn.model import bce_with_grad
+
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+MIN_DELTA = 1e-4  # a validation-loss improvement below this does not reset patience
 
 
 @dataclass
 class TrainConfig:
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     batch_size: int = 32
     epochs: int = 100
     seed: int = 0
     patience: int | None = None  # stop after this many epochs without val-loss improvement
-    min_delta: float = 1e-4      # improvement below this does not reset patience
 
     def __post_init__(self):
         if not 0 <= self.learning_rate < np.inf:
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("beta1/beta2 must be in [0, 1)")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 0:
@@ -71,17 +70,17 @@ def adam_step(params, grads, state, cfg, t):
     """
     if t < 1:
         raise ValueError("step index t starts at 1")
-    c1 = 1.0 - cfg.beta1 ** t
-    c2 = 1.0 - cfg.beta2 ** t
+    c1 = 1.0 - BETA1 ** t
+    c2 = 1.0 - BETA2 ** t
     for name, theta in params.items():
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * (g * g)
-        theta -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + cfg.epsilon)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        theta -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + EPSILON)
 
 
 @dataclass
@@ -247,7 +246,7 @@ def fit(model, train, validation=None, test=None, cfg=None):
             EpochRecord(em.loss, em.accuracy, val_loss, val_acc, time.perf_counter() - t0)
         )
         if cfg.patience is not None and validation is not None:
-            if val_loss < best_val - cfg.min_delta:
+            if val_loss < best_val - MIN_DELTA:
                 best_val = val_loss
                 stale = 0
             else:
@@ -261,12 +260,11 @@ def fit(model, train, validation=None, test=None, cfg=None):
 
 @dataclass(frozen=True)
 class RunSpec:
-    """One training run: model key or alias, build mode, the share of the
-    training rows held out as a validation tail, and the optimizer
-    settings. ``config.seed`` seeds both the build and the fit."""
+    """One training run: model key or alias, the share of the training
+    rows held out as a validation tail, and the optimizer settings.
+    ``config.seed`` seeds both the build and the fit."""
 
     model: str
-    mode: str
     val_fraction: float
     config: TrainConfig
 
@@ -287,26 +285,11 @@ def _rows(ds, a, b):
 
 
 def run(spec, train, test=None):
-    """Build the model for ``train``'s (lookback, features), hold out the
-    chronological validation tail and fit; returns (model, log, note).
-
-    A canonical-mode conv stack needs a longer sequence than a 12- or
-    24-step multichannel window provides, so it falls back to the
-    flattened single-channel form, and ``note`` says so (else "").
-    """
+    """Build the model for ``train``'s (lookback, features) in its trained
+    form, hold out the chronological validation tail and fit; returns
+    (model, log)."""
     window = train.config
-    seed = spec.config.seed
-    note = ""
-    try:
-        model = build_model(spec.model, spec.mode, window.lookback, window.features, seed)
-    except InputTooShort as exc:
-        if spec.mode != "canonical":
-            raise
-        model = build_model(spec.model, "flat", window.lookback, window.features, seed)
-        note = (
-            f"note: lookback {window.lookback} is below the conv stack minimum "
-            f"{exc.min_length}; using the flattened {window.width}-long form"
-        )
+    model = build_model(spec.model, window.lookback, window.features, spec.config.seed)
     validation = None
     if spec.val_fraction:
         n = train.n_rows
@@ -315,4 +298,4 @@ def run(spec, train, test=None):
             raise ValueError("the validation fraction leaves no training rows")
         train, validation = _rows(train, 0, n - n_val), _rows(train, n - n_val, n)
     log = fit(model, train, validation=validation, test=test, cfg=spec.config)
-    return model, log, note
+    return model, log

@@ -10,6 +10,7 @@ import pytest
 
 from nowcast import cli, pipeline, synthetic, training
 from nowcast.cli import main
+from nowcast.nn import load_model
 
 
 @pytest.fixture(scope="module")
@@ -120,14 +121,25 @@ class TestTrainEvaluateInspect:
             logs.append((out / "trainlog.csv").read_bytes())
         assert logs[0] == logs[1]
 
-    def test_cnn_falls_back_to_flat_form(self, prepared_dir, tmp_path, capsys):
+    def test_cnn_trains_flat_form(self, prepared_dir, tmp_path, capsys):
         out = tmp_path / "cnn"
         code = main([
             "train", "--train", os.path.join(prepared_dir, "train.nwc"),
             "--model", "cnn", "--epochs", "1", "--out", str(out),
         ])
         assert code == 0
-        assert "flattened" in capsys.readouterr().out
+        assert capsys.readouterr().out == "trained cnn_net (flat) for 1 epoch(s)\n"
+        model = load_model(str(out / "model.nwm"))
+        assert model.mode == "flat" and model.input_shape == (60, 1)
+
+    def test_mode_flag_is_usage_error(self, prepared_dir, csv_1000h, tmp_path):
+        for argv in (
+            ["train", "--train", os.path.join(prepared_dir, "train.nwc"), "--model", "cnn"],
+            ["grid", "--input", csv_1000h, "--models", "cnn"],
+        ):
+            with pytest.raises(SystemExit) as exc_info:
+                main([*argv, "--mode", "canonical", "--epochs", "0", "--out", str(tmp_path)])
+            assert exc_info.value.code == cli.EXIT_USAGE
 
     @pytest.mark.parametrize("fraction", ["-0.5", "inf"])
     def test_bad_validation_split_is_data_error(self, prepared_dir, tmp_path, fraction):
@@ -432,7 +444,7 @@ class TestGrid:
             if train.config.lookback == 6:
                 raise ValueError("cell failed")
             time.sleep(1.0)
-            return None, training.TrainLog(), ""
+            return None, training.TrainLog()
 
         monkeypatch.setattr(training, "run", stub)
         monkeypatch.setenv("NOWCAST_THREADS", "2")
@@ -457,7 +469,7 @@ class TestGrid:
 
         def stub(spec, train, test=None):
             (seen / f"L{train.config.lookback}").write_text(str(blas_threads()))
-            return None, training.TrainLog(), ""
+            return None, training.TrainLog()
 
         monkeypatch.setattr(training, "run", stub)
         monkeypatch.setenv("NOWCAST_THREADS", "2")

@@ -5,7 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import bilstm_halves, conv1d_reference, lstm_reference, signed_zero_input
+from helpers import (
+    bilstm_halves,
+    conv1d_reference,
+    lstm_reference,
+    make_model,
+    signed_zero_input,
+)
 
 from nowcast.errors import KernelTooLarge, PoolTooLarge, ShapeMismatch
 from nowcast.estimators import BiLstmClassifier, Conv1dClassifier
@@ -351,15 +357,22 @@ class TestConv1DForward:
 
 def package_conv_layers():
     """Every Conv1D that build_cnn_model builds (flat at lookback 12 and 24,
-    parity, canonical at lookback 60) with the length it is fed, plus
-    one-output-channel layers of at least three summed terms."""
+    and parity) with the length it is fed, the conv stack on a (60, 5)
+    multichannel sequence, plus one-output-channel layers of at least three
+    summed terms."""
     cases = []
-    for mode, lookback in [("flat", 12), ("flat", 24), ("parity", 24), ("canonical", 60)]:
-        model = build_cnn_model(mode, lookback=lookback, features=5)
+    builds = [(f"{mode}{lookback}", build_cnn_model(mode, lookback=lookback, features=5))
+              for mode, lookback in [("flat", 12), ("flat", 24), ("parity", 24)]]
+    # the five-channel stack: only the first conv reads the channel count,
+    # so the other layers of a flat build take its shapes as they are
+    multichannel = [Conv1D(5, 32, 8, rng=np.random.default_rng(60))]
+    multichannel += build_cnn_model("flat", lookback=12, features=5).layers[1:]
+    builds.append(("canonical60", make_model((60, 5), multichannel)))
+    for tag, model in builds:
         shape = model.input_shape
         for i, layer in enumerate(model.layers):
             if layer.kind == "conv1d":
-                cases.append(pytest.param(layer, shape[0], id=f"{mode}{lookback}-{i}"))
+                cases.append(pytest.param(layer, shape[0], id=f"{tag}-{i}"))
             shape = layer.output_shape(shape)
     for ci, k, padding, L in [(1, 2, "valid", 9), (2, 1, "valid", 7), (1, 8, "valid", 120),
                               (5, 3, "same", 24), (32, 5, "valid", 40), (64, 3, "same", 14)]:

@@ -61,12 +61,15 @@ class TestCnnBuilder:
     def test_min_length(self):
         assert models.CNN_MIN_LENGTH == 59
 
-    def test_canonical_short_lookback_raises_with_minimum(self):
+    def test_short_flat_lookback_raises_with_minimum(self):
         with pytest.raises(InputTooShort) as exc_info:
-            models.build_cnn_model("canonical", lookback=12, features=5)
+            models.build_cnn_model("flat", lookback=11, features=5)
+        assert exc_info.value.length == 55
         assert exc_info.value.min_length == models.CNN_MIN_LENGTH
-        with pytest.raises(InputTooShort):
-            models.build_cnn_model("canonical", lookback=24, features=5)
+
+    def test_no_multichannel_build(self):
+        with pytest.raises(ValueError, match="unknown mode"):
+            models.build_cnn_model("canonical", lookback=60, features=5)
 
     def test_flat_mode_accepts_short_lookbacks(self):
         model = models.build_cnn_model("flat", lookback=12, features=5)
@@ -136,7 +139,7 @@ class TestVerifyParity:
 class TestBuildDispatch:
     def test_aliases(self):
         assert models.build_model("bilstm").name == models.BILSTM_NET
-        assert models.build_model("cnn", "flat").name == models.CNN_NET
+        assert models.build_model("cnn").name == models.CNN_NET
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
@@ -146,7 +149,8 @@ class TestBuildDispatch:
 class TestBackwardContract:
     @pytest.mark.parametrize("name, mode", [("bilstm", "canonical"), ("cnn", "flat")])
     def test_backward_needs_train_mode_forward(self, name, mode):
-        model = models.build_model(name, mode, lookback=24, features=5)
+        model = models.build_model(name, lookback=24, features=5)
+        assert model.mode == mode  # the form the net is trained in
         x = np.random.default_rng(0).random((3, model.input_width))
         dy = np.ones(3)
         with pytest.raises(RuntimeError, match="train-mode forward"):

@@ -99,28 +99,32 @@ class TestRun:
                 train=train, validation=validation) or training.TrainLog(),
         )
         ds = toy_dataset(25)
-        run(RunSpec("bilstm", "canonical", 0.1, TrainConfig(epochs=0)), ds)
+        run(RunSpec("bilstm", 0.1, TrainConfig(epochs=0)), ds)
         # round(2.5) is 2: n_val = max(1, round(n * fraction))
         assert seen["train"].n_rows == 23 and seen["validation"].n_rows == 2
         assert np.array_equal(seen["validation"].inputs, ds.inputs[23:])
         assert np.array_equal(seen["train"].targets, ds.targets[:23])
-        run(RunSpec("bilstm", "canonical", 0.0, TrainConfig(epochs=0)), ds)
+        run(RunSpec("bilstm", 0.0, TrainConfig(epochs=0)), ds)
         assert seen["train"] is ds and seen["validation"] is None
 
     def test_tail_must_leave_training_rows(self):
         with pytest.raises(ValueError):
-            run(RunSpec("bilstm", "canonical", 0.5, TrainConfig(epochs=0)), toy_dataset(1))
+            run(RunSpec("bilstm", 0.5, TrainConfig(epochs=0)), toy_dataset(1))
 
-    def test_canonical_cnn_falls_back_to_flat(self):
-        model, _, note = run(
-            RunSpec("cnn", "canonical", 0.0, TrainConfig(epochs=0)), toy_dataset(4, lookback=12)
-        )
+    def test_cnn_trains_flat_form(self):
+        model, _ = run(RunSpec("cnn", 0.0, TrainConfig(epochs=0)), toy_dataset(4, lookback=12))
         assert model.mode == "flat" and model.input_shape == (60, 1)
-        assert note == (
-            "note: lookback 12 is below the conv stack minimum 59; "
-            "using the flattened 60-long form"
-        )
 
-    def test_other_modes_do_not_fall_back(self):
+    def test_short_cnn_window_raises(self):
         with pytest.raises(InputTooShort):
-            run(RunSpec("cnn", "flat", 0.0, TrainConfig(epochs=0)), toy_dataset(4, lookback=2))
+            run(RunSpec("cnn", 0.0, TrainConfig(epochs=0)), toy_dataset(4, lookback=2))
+
+    def test_long_cnn_window_trains_flat_form(self):
+        # from lookback 59 on, a (lookback, 5) multichannel sequence would be
+        # long enough for the conv stack; the runner and the estimator still
+        # build the one flat form
+        ds = toy_dataset(4, lookback=60)
+        model, _ = run(RunSpec("cnn", 0.0, TrainConfig(epochs=0)), ds)
+        est = Conv1dClassifier(lookback=60, epochs=0).fit(ds.inputs, ds.targets)
+        for built in (model, est.model_):
+            assert built.mode == "flat" and built.input_shape == (300, 1)
