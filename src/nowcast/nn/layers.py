@@ -23,12 +23,20 @@ from ..errors import KernelTooLarge, PoolTooLarge, ShapeMismatch
 CONV_CHUNK_ELEMENTS = 1 << 16   # Conv1D forward: window-matrix elements per row chunk
 
 
-def sigmoid(x):
+def sigmoid(x, out=None):
     """Numerically stable logistic function: 1 / (1 + e^-x) for x >= 0 and
-    e^x / (1 + e^x) otherwise, so exp never overflows."""
-    pos = x >= 0
-    e = np.exp(np.where(pos, -x, x))
-    return np.where(pos, 1.0, e) / (1.0 + e)
+    e^x / (1 + e^x) otherwise, so exp never overflows.
+
+    Written without a per-element select: ``e = exp(min(x, -x))`` is
+    e^-|x|, and the numerator ``max(x >= 0, e)`` is 1 where x >= 0 (there
+    e <= 1) and e elsewhere. NaN keeps its sign and ±0 gives 0.5. The
+    result goes into ``out`` when given, which may be ``x`` itself.
+    """
+    e = np.minimum(x, -x)
+    np.exp(e, out=e)
+    num = np.maximum(x >= 0, e, out=out)
+    e += 1.0
+    return np.divide(num, e, out=num)
 
 
 class Layer:
@@ -147,6 +155,12 @@ class LSTM(Layer):
     (B, D*H) final states. The one-direction ``forward`` accepts an optional
     ``initial`` (h0, c0) pair, used by tests to probe the cell equations.
 
+    One step writes everything in place. The pre-activation goes into one
+    (D, B, 4H) buffer reused by every step, summed as (x·wx + h·wh) + b.
+    One ``sigmoid`` over all four gate blocks writes the step's gate slot,
+    then tanh of the g block overwrites that block; c, tanh(c) and h go
+    straight into their step slots.
+
     Only a train-mode forward keeps the per-step gate and state history that
     ``backward`` reads. An eval forward runs the same scan through one
     step slot, holds only the steps it returns and keeps nothing after it
@@ -216,18 +230,18 @@ class LSTM(Layer):
         cs = np.empty((n, D, B, H))
         tc = np.empty((n, D, B, H))
         hs = np.empty((T if self.return_sequences else n, D, B, H))
+        z = np.empty((D, B, 4 * H))  # pre-activation, (x·wx + h·wh) + b
         for t in range(T):
             s = t % n
-            z = xs[:, :, t] @ wx + h_prev @ wh + b
-            a = gates[s]
-            a[..., :2 * H] = sigmoid(z[..., :2 * H])
-            a[..., 2 * H:3 * H] = np.tanh(z[..., 2 * H:3 * H])
-            a[..., 3 * H:] = sigmoid(z[..., 3 * H:])
-            c_prev = a[..., H:2 * H] * c_prev + a[..., :H] * a[..., 2 * H:3 * H]
-            cs[s] = c_prev
-            tc[s] = np.tanh(c_prev)
-            h_prev = a[..., 3 * H:] * tc[s]
-            hs[t % len(hs)] = h_prev
+            np.matmul(xs[:, :, t], wx, out=z)
+            z += h_prev @ wh
+            z += b
+            a = sigmoid(z, out=gates[s])
+            np.tanh(z[..., 2 * H:3 * H], out=a[..., 2 * H:3 * H])
+            c_prev = np.multiply(a[..., H:2 * H], c_prev, out=cs[s])
+            c_prev += a[..., :H] * a[..., 2 * H:3 * H]
+            np.tanh(c_prev, out=tc[s])
+            h_prev = np.multiply(a[..., 3 * H:], tc[s], out=hs[t % len(hs)])
         if train:
             self._cache = (xs, gates, cs, tc, hs, h0, c0)
         if self.return_sequences:

@@ -10,6 +10,7 @@ row shuffling and dropout masks draw from one seeded generator, and batch
 gradients come from fixed-order reductions.
 """
 
+import operator
 import time
 from dataclasses import dataclass, field, replace
 
@@ -35,6 +36,14 @@ class TrainConfig:
     patience: int | None = None  # stop after this many epochs without val-loss improvement
 
     def __post_init__(self):
+        for name in ("batch_size", "epochs", "seed", "patience"):
+            value = getattr(self, name)
+            if value is None and name == "patience":
+                continue
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if not 0 <= self.learning_rate < np.inf:
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.batch_size < 1:

@@ -2,7 +2,9 @@
 
 Everything here is deliberately written the slow, obvious way (scalar
 loops, pure-Python accumulation) so the fast production paths are checked
-against code that shares none of their structure.
+against code that shares none of their structure. The exception is
+``lstm_scan_reference``, the plain batched recurrent scan, kept as a bit
+oracle for the in-place one.
 """
 
 import json
@@ -87,6 +89,53 @@ def lstm_reference(x, wx, wh, b, h0=None, c0=None):
         h = [go[kk] * math.tanh(c[kk]) for kk in range(H)]
         out[t] = h
     return out
+
+
+def where_sigmoid(x):
+    """The logistic function as two per-element selects."""
+    pos = x >= 0
+    e = np.exp(np.where(pos, -x, x))
+    return np.where(pos, 1.0, e) / (1.0 + e)
+
+
+def lstm_scan_reference(layer, x, train=False, initial=None):
+    """An ``LSTM``/``BiLSTM`` forward as the plain batched scan: per step a
+    fresh ``(x·wx + h·wh) + b``, separate activations of the (i, f), g and
+    o blocks, and new c, tanh(c) and h arrays. Unlike the scalar
+    ``lstm_reference`` it shares the layer's rounding, so the layer must
+    match it bit for bit. Returns the output and, for ``train``, the
+    (gates, cs, tc, hs) history that ``backward`` reads."""
+    D, H = len(layer.prefixes), layer.hidden_size
+    B, T, _ = x.shape
+    xs = np.stack([x[:, ::-1] if k else x for k in range(D)])
+    w = layer.params
+    wx, wh, b = (np.stack([w[p + role] for p in layer.prefixes]) for role in ("wx", "wh", "b"))
+    b = b[:, None]
+    if initial is None:
+        h, c = np.zeros((D, B, H)), np.zeros((D, B, H))
+    else:
+        h, c = (np.broadcast_to(v, (D, B, H)).astype(float) for v in initial)
+    gates, cs, tc, hs = [], [], [], []
+    for t in range(T):
+        z = xs[:, :, t] @ wx + h @ wh + b
+        a = np.empty_like(z)
+        a[..., :2 * H] = where_sigmoid(z[..., :2 * H])
+        a[..., 2 * H:3 * H] = np.tanh(z[..., 2 * H:3 * H])
+        a[..., 3 * H:] = where_sigmoid(z[..., 3 * H:])
+        c = a[..., H:2 * H] * c + a[..., :H] * a[..., 2 * H:3 * H]
+        tc.append(np.tanh(c))
+        h = a[..., 3 * H:] * tc[-1]
+        gates.append(a)
+        cs.append(c)
+        hs.append(h)
+    trace = np.stack(hs)  # (T, D, B, H)
+    if layer.return_sequences:
+        steps = trace.transpose(1, 2, 0, 3)
+        y = np.concatenate([steps[k][:, ::-1] if k else steps[k] for k in range(D)], axis=2)
+    else:
+        y = h.transpose(1, 0, 2).reshape(B, D * H)
+    history = tuple(np.stack(v) for v in (gates, cs, tc, hs)) if train else None
+    return y, history
 
 
 def adam_reference(theta, grads_sequence, lr=0.001, b1=0.9, b2=0.999, eps=1e-8):

@@ -123,6 +123,16 @@ class TestBiLstmClassifier:
         with pytest.raises(ValueError):
             BiLstmClassifier(lookback=4, **{"epochs": 1, **setting}).fit(X, y)
 
+    @pytest.mark.parametrize("setting", [
+        {"batch_size": 2.5}, {"epochs": 1.5}, {"epochs": float("nan")}, {"patience": 1.5},
+    ])
+    def test_non_integer_count_rejected_before_training(self, setting):
+        X, y = toy_problem()
+        est = BiLstmClassifier(lookback=4, **{"epochs": 1, **setting})
+        with pytest.raises(ValueError, match=next(iter(setting))):
+            est.fit(X, y)
+        assert getattr(est, "model_", None) is None
+
     @pytest.mark.parametrize("threshold", [float("nan"), -0.1, 1.1])
     def test_bad_threshold_rejected_by_predict(self, threshold):
         X, y = toy_problem()

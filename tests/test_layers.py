@@ -89,10 +89,26 @@ class TestActivations:
         edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
                           36.7, -36.7, 709.0, -745.0, 1000.0, -1000.0])
         rng = np.random.default_rng(3)
-        for x in [edges] + [rng.standard_normal((32, 90)) * s for s in (1.0, 10.0, 100.0)]:
-            want, got = masked(x), sigmoid(x)
-            assert np.array_equal(got, want, equal_nan=True)
-            assert np.array_equal(np.signbit(got), np.signbit(want))
+        same_bits = lambda got, want: np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        wide = rng.standard_normal((2, 32, 180)) * 10.0
+        wide[0, 0, :edges.size] = edges
+        cases = [edges] + [rng.standard_normal((32, 90)) * s for s in (1.0, 10.0, 100.0)]
+        cases += [wide.transpose(1, 0, 2), wide[:, ::3, 1::2]]  # non-contiguous
+        for x in cases:
+            before = x.copy()
+            assert same_bits(sigmoid(x), masked(x))
+            assert same_bits(x, before)  # the input is left as it was
+
+        # into the g block of a (D, B, 4H) gate array, from a strided input
+        H, x = 45, wide[..., 1::4]
+        before, gates = x.copy(), np.full((2, 32, 4 * H), 7.0)
+        out = gates[..., 2 * H:3 * H]
+        assert sigmoid(x, out=out) is out
+        assert same_bits(out, masked(x)) and same_bits(x, before)
+        assert (gates[..., :2 * H] == 7.0).all() and (gates[..., 3 * H:] == 7.0).all()
+        inplace = x.copy()
+        assert sigmoid(inplace, out=inplace) is inplace
+        assert same_bits(inplace, masked(x))
 
 
 class TestLSTMForward:

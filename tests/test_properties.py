@@ -2,9 +2,9 @@
 and month filter against the scalar references in ``helpers``, the columnar
 CSV parse against the row loop on files with edge rows, the window
 count law, resample idempotence, chronological split order, the
-normalizer round trip, the ``.nwc`` container round trip, and the
+normalizer round trip, the ``.nwc`` container round trip, the
 ``.nwm`` checkpoint round trip, truncation and bytes on small random
-models."""
+models, and the bits of the recurrent and convolutional forwards."""
 
 import io
 import math
@@ -22,6 +22,7 @@ from helpers import (
     conv1d_reference,
     count_windows_brute_force,
     filter_months_reference,
+    lstm_scan_reference,
     resample_reference,
     save_model_reference,
     signed_zero_input,
@@ -528,3 +529,41 @@ def test_conv1d_forward_matches_the_loop_bitwise(B, ci, co, k, padding, extra, s
     for b in range(B):
         want = conv1d_reference(x[b], layer.params["kernel"], layer.params["bias"], padding)
         assert np.array_equal(y[b].view(np.uint64), want.view(np.uint64))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.booleans(),
+    st.integers(1, 5),
+    st.integers(1, 6),
+    st.integers(1, 4),
+    st.integers(1, 5),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([1.0, 4.0, 40.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_lstm_forward_matches_the_plain_scan_bitwise(
+        bidirectional, B, T, d, H, train, return_sequences, initial, scale, seed):
+    # the output and every array train mode keeps for backward, compared
+    # under a uint64 view so -0.0 and the last rounding bit count
+    rng = np.random.default_rng(seed)
+    if bidirectional:
+        layer, state = BiLSTM(d, H, rng=rng), None
+    else:
+        layer = LSTM(d, H, return_sequences=return_sequences, rng=rng)
+        state = (rng.standard_normal(H), rng.standard_normal((B, H))) if initial else None
+    for role, arr in layer.params.items():
+        if role.endswith("b"):
+            arr[...] = rng.standard_normal(4 * H)  # not only the forget-gate ones
+    x = signed_zero_input(rng, (B, T, d)) * scale
+    want, history = lstm_scan_reference(layer, x, train=train, initial=state)
+    got = layer.forward(x, train=train, initial=state)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    if train:
+        for kept, expected in zip(layer._cache[1:5], history):
+            assert kept.shape == expected.shape
+            assert np.array_equal(kept.view(np.uint64), expected.view(np.uint64))
+    else:
+        assert layer._cache is None

@@ -85,6 +85,18 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(**setting)
 
+    @pytest.mark.parametrize("name, value", [
+        ("batch_size", 2.5), ("batch_size", 32.0), ("epochs", 1.5), ("epochs", float("nan")),
+        ("patience", 1.5), ("seed", 0.5), ("epochs", "3"),
+    ])
+    def test_non_integer_count_rejected_by_name(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**{name: value})
+
+    def test_integer_like_counts_accepted(self):
+        cfg = TrainConfig(batch_size=np.int64(8), epochs=np.int32(2), patience=None)
+        assert (cfg.batch_size, cfg.epochs, cfg.patience) == (8, 2, None)
+
     def test_edge_settings_accepted(self):
         cfg = TrainConfig(epochs=0, patience=1, learning_rate=0.0)
         assert (cfg.epochs, cfg.patience, cfg.learning_rate) == (0, 1, 0.0)
