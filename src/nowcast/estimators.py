@@ -18,9 +18,10 @@ from .pipeline import (
     WindowConfig,
     WindowedDataset,
     apply_normalizer,
+    check_int,
     fit_normalizer,
 )
-from .training import RunSpec, TrainConfig, check_threshold, run
+from .training import RunSpec, TrainConfig, check_threshold, probabilities, run
 
 
 def check_matrix(X, width=None, name="X"):
@@ -97,7 +98,9 @@ class _WindowNetClassifier(_ParamsMixin):
     def fit(self, X, y):
         """Train on rows in time order; the last ``validation_fraction``
         of them is held out as the validation tail."""
-        X = check_matrix(X, width=self.lookback * self.features)
+        # the horizon is not known here, and training does not read it
+        window = WindowConfig(self.lookback, 1, self.features)
+        X = check_matrix(X, width=window.width)
         y = check_binary_target(y, X.shape[0])
         config = TrainConfig(
             learning_rate=self.learning_rate,
@@ -106,8 +109,7 @@ class _WindowNetClassifier(_ParamsMixin):
             seed=self.seed,
             patience=self.patience,
         )
-        # the horizon is not known here, and training does not read it
-        data = WindowedDataset(X, y, WindowConfig(self.lookback, 1, self.features))
+        data = WindowedDataset(X, y, window)
         spec = RunSpec(self._model, self.validation_fraction, config)
         self.model_, self.log_ = run(spec, data)
         self.n_features_in_ = X.shape[1]
@@ -119,10 +121,11 @@ class _WindowNetClassifier(_ParamsMixin):
             raise NotFittedError(f"{type(self).__name__} is not fitted; call fit first")
 
     def decision_function(self, X):
-        """Probability of rain for each row, shape (n_rows,)."""
+        """Probability of rain for each row, shape (n_rows,), scored in the
+        blocks ``training.evaluate`` uses, so both give a row the same bits."""
         self._require_fitted()
         X = check_matrix(X, width=self.n_features_in_)
-        return self.model_.forward(X, train=False)
+        return probabilities(self.model_, X)
 
     def predict_proba(self, X):
         p = self.decision_function(X)
@@ -170,6 +173,7 @@ class WindowMinMaxScaler(_ParamsMixin):
         self.features = features
 
     def _dataset(self, X):
+        check_int("features", self.features, 1)
         X = check_matrix(X)
         if X.shape[1] % self.features:
             raise ValueError(

@@ -108,6 +108,12 @@ CNN_KNOWN = {
     ),
 }
 
+# canonical name -> (published rows, known notes, stated total)
+REFERENCES = {
+    BILSTM_NET: (BILSTM_REFERENCE, BILSTM_KNOWN, BILSTM_STATED_TOTAL),
+    CNN_NET: (CNN_REFERENCE, CNN_KNOWN, CNN_STATED_TOTAL),
+}
+
 
 def _dense_head(rng):
     return [
@@ -164,18 +170,17 @@ def _cnn_layers(rng):
 
 
 def cnn_min_length():
-    """Shortest input length the conv/pool chain accepts."""
+    """Shortest input length the conv/pool chain accepts, found by building
+    the chain at lengths 1, 2, ... until one fits (59 today). Only the
+    error path of ``build_cnn_model`` needs it, so nothing runs it at import."""
     layers = _cnn_layers(np.random.default_rng(0))
     length = 1
     while True:
         try:
-            Model(CNN_NET, "flat", (length, 1), layers)  # chains output_shape
+            Model(CNN_NET, "flat", (length, 1), layers)
             return length
         except ShapeMismatch:
             length += 1
-
-
-CNN_MIN_LENGTH = cnn_min_length()
 
 
 def build_cnn_model(mode="flat", lookback=24, features=5, seed=0):
@@ -184,8 +189,8 @@ def build_cnn_model(mode="flat", lookback=24, features=5, seed=0):
 
     Both modes feed the row as a 1-channel sequence: parity the flat
     144-wide row (the published reference shape), flat the lookback*features
-    window row, which is the form the experiments train. A sequence shorter
-    than CNN_MIN_LENGTH raises InputTooShort.
+    window row, which is the form the experiments train. A sequence the
+    chain does not fit raises InputTooShort with ``cnn_min_length()``.
     """
     rng = np.random.default_rng(seed)
     if mode == "parity":
@@ -194,9 +199,10 @@ def build_cnn_model(mode="flat", lookback=24, features=5, seed=0):
         length = int(lookback) * int(features)
     else:
         raise ValueError(f"unknown mode {mode!r} for {CNN_NET}")
-    if length < CNN_MIN_LENGTH:
-        raise InputTooShort(length, CNN_MIN_LENGTH)
-    return Model(CNN_NET, mode, (length, 1), _cnn_layers(rng))
+    try:
+        return Model(CNN_NET, mode, (length, 1), _cnn_layers(rng))
+    except ShapeMismatch:
+        raise InputTooShort(length, cnn_min_length()) from None
 
 
 # canonical name -> (builder, the input form the net is trained in)
@@ -262,7 +268,7 @@ class ParityReport:
     def _faults(self, row):
         """(field, expected, computed) of each mismatch in a row that no
         canned note excuses."""
-        known = BILSTM_KNOWN if self.model_name == BILSTM_NET else CNN_KNOWN
+        _, known, _ = REFERENCES[self.model_name]
         allowed = known.get(row.label, (None, ""))[0]
         out = []
         if not row.params_match and allowed != "params":
@@ -318,12 +324,10 @@ def verify_parity(model):
     """
     if model.mode != "parity":
         raise ValueError("reference comparison needs a parity-mode build")
-    if model.name == BILSTM_NET:
-        reference, known, stated = BILSTM_REFERENCE, BILSTM_KNOWN, BILSTM_STATED_TOTAL
-    elif model.name == CNN_NET:
-        reference, known, stated = CNN_REFERENCE, CNN_KNOWN, CNN_STATED_TOTAL
-    else:
-        raise ValueError(f"no reference table for model {model.name!r}")
+    try:
+        reference, known, stated = REFERENCES[model.name]
+    except KeyError:
+        raise ValueError(f"no reference table for model {model.name!r}") from None
 
     listed = [
         (kind, shape, count)

@@ -13,8 +13,9 @@ Layout, all little-endian:
                    float64 values
 
 Strings and JSON blobs are prefixed with a uint32 byte length. The loader
-rejects bad magic, truncated payloads, and arrays whose byte counts do not
-match their declared shapes.
+rejects bad magic, truncated payloads, arrays whose byte counts do not
+match their declared shapes, and layers that do not chain from the stored
+input shape.
 """
 
 import json
@@ -23,7 +24,7 @@ import struct
 import numpy as np
 
 from .._io import atomic_write_bytes
-from ..errors import CorruptCheckpoint
+from ..errors import CorruptCheckpoint, ShapeMismatch
 from .layers import layer_from_hyperparams
 from .model import Model
 
@@ -113,5 +114,5 @@ def load_model(path):
             raise CorruptCheckpoint("trailing bytes after last layer")
     try:
         return Model(meta["name"], meta["mode"], meta["input_shape"], layers)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, ShapeMismatch) as exc:
         raise CorruptCheckpoint(f"bad meta fields: {exc}") from None

@@ -40,7 +40,9 @@ def sigmoid(x, out=None):
 
 
 class Layer:
-    """Base layer: parameter store, gradient store, shape bookkeeping."""
+    """Base layer: parameter store and gradient store. A layer's shape rule
+    lives in its ``forward`` alone: ``Model`` reads each layer's output shape
+    off an eval forward of a zero-row batch."""
 
     kind = "layer"
 
@@ -53,10 +55,6 @@ class Layer:
 
     def backward(self, dy):
         raise NotImplementedError
-
-    def output_shape(self, in_shape):
-        """Per-sample output shape for a per-sample input shape."""
-        return in_shape
 
     def param_count(self):
         return sum(a.size for a in self.params.values())
@@ -103,11 +101,6 @@ class Dense(Layer):
         self.grads["w"] += self._x.T @ dy
         self.grads["b"] += dy.sum(axis=0)
         return dy @ self.params["w"].T
-
-    def output_shape(self, in_shape):
-        if in_shape != (self.in_dim,):
-            raise ShapeMismatch(f"dense {self.in_dim}->{self.out_dim} fed {in_shape}")
-        return (self.out_dim,)
 
     def hyperparams(self):
         return {"in_dim": self.in_dim, "out_dim": self.out_dim}
@@ -231,7 +224,7 @@ class LSTM(Layer):
         tc = np.empty((n, D, B, H))
         hs = np.empty((T if self.return_sequences else n, D, B, H))
         z = np.empty((D, B, 4 * H))  # pre-activation, (x·wx + h·wh) + b
-        for t in range(T):
+        for t in range(T if B else 0):  # a zero-row batch has no step to run
             s = t % n
             np.matmul(xs[:, :, t], wx, out=z)
             z += h_prev @ wh
@@ -282,14 +275,6 @@ class LSTM(Layer):
             dh_next = dz @ whT
             dc_next = dc * gf[t]
         return functools.reduce(np.add, self._steps(dxs))
-
-    def output_shape(self, in_shape):
-        if len(in_shape) != 2 or in_shape[1] != self.in_dim:
-            raise ShapeMismatch(f"{self.kind} ({self.in_dim} wide) fed {in_shape}")
-        width = len(self.prefixes) * self.hidden_size
-        if self.return_sequences:
-            return (in_shape[0], width)
-        return (width,)
 
     def hyperparams(self):
         return {
@@ -415,16 +400,6 @@ class Conv1D(Layer):
         left, L = self._trim
         return dxp[:, left:left + L]
 
-    def output_shape(self, in_shape):
-        if len(in_shape) != 2 or in_shape[1] != self.in_channels:
-            raise ShapeMismatch(f"conv1d ({self.in_channels} ch) fed {in_shape}")
-        L = in_shape[0]
-        if self.padding == "same":
-            return (L, self.out_channels)
-        if L < self.kernel_size:
-            raise KernelTooLarge(f"kernel {self.kernel_size} on length-{L} input")
-        return (L - self.kernel_size + 1, self.out_channels)
-
     def hyperparams(self):
         return {
             "in_channels": self.in_channels,
@@ -464,12 +439,6 @@ class MaxPool1D(Layer):
         dx[:, :n * p] = dxr.reshape(B, n * p, C)
         return dx
 
-    def output_shape(self, in_shape):
-        L, C = in_shape
-        if L < self.pool_size:
-            raise PoolTooLarge(f"pool {self.pool_size} on length-{L} input")
-        return (L // self.pool_size, C)
-
     def hyperparams(self):
         return {"pool_size": self.pool_size}
 
@@ -485,9 +454,6 @@ class GlobalAvgPool1D(Layer):
 
     def backward(self, dy):
         return np.repeat(dy[:, None, :] / self._L, self._L, axis=1)
-
-    def output_shape(self, in_shape):
-        return (in_shape[1],)
 
 
 class Dropout(Layer):

@@ -16,6 +16,11 @@ class Model:
     sample. A trailing (B, 1) output is squeezed to (B,). ``backward``
     needs the last forward to have run with ``train`` set: an eval forward
     keeps no layer state.
+
+    The build runs each layer's eval forward once on a zero-row batch and
+    keeps the per-sample shape of each output, so a chain that does not fit
+    fails here with the forward's own ``ShapeMismatch``. That forward draws
+    no random numbers and changes no weight.
     """
 
     def __init__(self, name, mode, input_shape, layers):
@@ -25,7 +30,11 @@ class Model:
         self.layers = list(layers)
         self._squeezed = False
         self._backward_ready = False
-        self.output_shapes()  # validates layer chaining at build time
+        out = np.zeros((0, *self.input_shape))
+        self._shapes = []
+        for layer in self.layers:
+            out = layer.forward(out)
+            self._shapes.append(out.shape[1:])
 
     @property
     def input_width(self):
@@ -83,13 +92,9 @@ class Model:
         return sum(layer.param_count() for layer in self.layers)
 
     def output_shapes(self):
-        """Per-sample output shape after each layer, starting from input_shape."""
-        shape = self.input_shape
-        shapes = []
-        for layer in self.layers:
-            shape = layer.output_shape(shape)
-            shapes.append(shape)
-        return shapes
+        """Per-sample output shape after each layer, as its forward gave it
+        at build; reading them runs no forward."""
+        return list(self._shapes)
 
     def layer_summary(self):
         """Rows of (index, kind, output_shape, param_count) for reporting."""

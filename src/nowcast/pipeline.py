@@ -18,6 +18,7 @@ flag ``horizon`` hours after the anchor.
 import csv
 import io
 import math
+import operator
 import struct
 import warnings
 from dataclasses import dataclass
@@ -152,6 +153,17 @@ class ObservationSeries:
         return len(self.offsets) - 1
 
 
+def check_int(name, value, least=None):
+    """Raise a ValueError naming the field unless ``value`` is an integer
+    (anything ``operator.index`` takes) of at least ``least``."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 @dataclass(frozen=True)
 class WindowConfig:
     lookback: int
@@ -159,8 +171,8 @@ class WindowConfig:
     features: int = FEATURE_COUNT
 
     def __post_init__(self):
-        if self.lookback < 1 or self.horizon < 1 or self.features < 1:
-            raise ValueError("lookback, horizon, and features must be >= 1")
+        for name in ("lookback", "horizon", "features"):
+            check_int(name, getattr(self, name), 1)
 
     @property
     def width(self):
@@ -699,7 +711,10 @@ def load_windowed(path):
     if len(blob) < 20:
         raise CorruptContainer(f"truncated header in {path}")
     n, lookback, features, horizon = struct.unpack("<IIII", blob[4:20])
-    cfg = WindowConfig(lookback=lookback, horizon=horizon, features=features)
+    try:
+        cfg = WindowConfig(lookback=lookback, horizon=horizon, features=features)
+    except ValueError as exc:
+        raise CorruptContainer(f"bad header in {path}: {exc}") from None
     need = 20 + n * cfg.width * 8 + n + features * 16
     if len(blob) != need:
         raise CorruptContainer(f"{path}: expected {need} bytes, found {len(blob)}")

@@ -10,7 +10,6 @@ row shuffling and dropout masks draw from one seeded generator, and batch
 gradients come from fixed-order reductions.
 """
 
-import operator
 import time
 from dataclasses import dataclass, field, replace
 
@@ -20,11 +19,13 @@ from ._io import atomic_write_text
 from .errors import EmptyDataset, NonFiniteLoss
 from .models import build_model
 from .nn.model import bce_with_grad
+from .pipeline import check_int
 
 BETA1 = 0.9
 BETA2 = 0.999
 EPSILON = 1e-8
 MIN_DELTA = 1e-4  # a validation-loss improvement below this does not reset patience
+EVAL_BATCH = 512  # rows per eval-mode forward
 
 
 @dataclass
@@ -36,22 +37,13 @@ class TrainConfig:
     patience: int | None = None  # stop after this many epochs without val-loss improvement
 
     def __post_init__(self):
-        for name in ("batch_size", "epochs", "seed", "patience"):
-            value = getattr(self, name)
-            if value is None and name == "patience":
-                continue
-            try:
-                operator.index(value)
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        check_int("batch_size", self.batch_size, 1)
+        check_int("epochs", self.epochs, 0)
+        check_int("seed", self.seed)
+        if self.patience is not None:
+            check_int("patience", self.patience, 1)
         if not 0 <= self.learning_rate < np.inf:
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.patience is not None and self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
 
 
 class AdamState:
@@ -155,28 +147,37 @@ def check_threshold(threshold):
         raise ValueError(f"the threshold must be a number in [0, 1], got {threshold}")
 
 
-def evaluate(model, dataset, threshold=0.5, batch_size=512):
-    """Eval-mode metrics at a decision threshold; p == threshold counts as 1."""
+def probabilities(model, X, batch_size=EVAL_BATCH):
+    """Eval-mode output for the rows of X, one forward per block of rows.
+    BLAS rounds by row count, so a row's bits depend on its block: every
+    scoring path comes here. No rows still run one (empty) forward."""
+    X = np.asarray(X, dtype=np.float64)
+    return np.concatenate([
+        model.forward(X[start:start + batch_size], train=False)
+        for start in range(0, max(len(X), 1), batch_size)
+    ])
+
+
+def evaluate(model, dataset, threshold=0.5, batch_size=EVAL_BATCH):
+    """Eval-mode metrics at a decision threshold; p == threshold counts as 1.
+    The loss is summed per block of ``batch_size`` rows, then over blocks."""
     check_threshold(threshold)
     X = np.asarray(dataset.inputs, dtype=np.float64)
     y = np.asarray(dataset.targets, dtype=np.float64)
     n = X.shape[0]
     if n == 0:
         raise EmptyDataset("cannot evaluate an empty dataset")
+    p = probabilities(model, X, batch_size)
     loss_sum = 0.0
-    tp = fp = tn = fn = 0
     for start in range(0, n, batch_size):
-        xb = X[start:start + batch_size]
-        yb = y[start:start + batch_size]
-        p = model.forward(xb, train=False)
-        losses, _ = bce_with_grad(p, yb)
+        losses, _ = bce_with_grad(p[start:start + batch_size], y[start:start + batch_size])
         loss_sum += float(losses.sum())
-        cls = p >= threshold
-        pos = yb >= 0.5
-        tp += int((cls & pos).sum())
-        fp += int((cls & ~pos).sum())
-        fn += int((~cls & pos).sum())
-        tn += int((~cls & ~pos).sum())
+    cls = p >= threshold
+    pos = y >= 0.5
+    tp = int((cls & pos).sum())
+    fp = int((cls & ~pos).sum())
+    fn = int((~cls & pos).sum())
+    tn = int((~cls & ~pos).sum())
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0

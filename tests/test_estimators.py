@@ -13,6 +13,7 @@ from nowcast.estimators import (
     check_matrix,
 )
 from nowcast.pipeline import NormStats, WindowConfig, WindowedDataset, apply_normalizer
+from nowcast.training import evaluate
 
 
 def toy_problem(n=80, lookback=4, features=5, seed=0):
@@ -133,6 +134,23 @@ class TestBiLstmClassifier:
             est.fit(X, y)
         assert getattr(est, "model_", None) is None
 
+    def test_non_integer_window_size_rejected_before_training(self):
+        X, y = toy_problem(lookback=1)  # 5 columns, as lookback 2.5 x 2 features
+        est = BiLstmClassifier(lookback=2.5, features=2, epochs=1)
+        with pytest.raises(ValueError, match="lookback"):
+            est.fit(X, y)
+        assert getattr(est, "model_", None) is None
+
+    def test_scores_rows_in_the_blocks_evaluate_uses(self):
+        # a row's bits depend on how many rows share its forward; more than
+        # one 512-row block, so one forward over every row would differ
+        X, y = toy_problem(n=1500, lookback=24, seed=3)
+        est = BiLstmClassifier(lookback=24, epochs=0, seed=3).fit(X, y)
+        blocks = np.concatenate([est.model_.forward(X[a:a + 512]) for a in range(0, 1500, 512)])
+        assert np.array_equal(est.decision_function(X).view(np.uint64), blocks.view(np.uint64))
+        m = evaluate(est.model_, WindowedDataset(X, y, WindowConfig(24, 1)))
+        assert m.tp + m.fp == est.predict(X).sum()
+
     @pytest.mark.parametrize("threshold", [float("nan"), -0.1, 1.1])
     def test_bad_threshold_rejected_by_predict(self, threshold):
         X, y = toy_problem()
@@ -190,3 +208,8 @@ class TestWindowMinMaxScaler:
     def test_width_must_be_multiple_of_features(self):
         with pytest.raises(ValueError):
             WindowMinMaxScaler(features=5).fit(np.zeros((2, 7)))
+
+    @pytest.mark.parametrize("features", [0, 2.5, "5"])
+    def test_features_must_be_a_positive_integer(self, features):
+        with pytest.raises(ValueError, match="features"):
+            WindowMinMaxScaler(features=features).fit(np.ones((2, 10)))

@@ -328,7 +328,7 @@ class TestConv1DForward:
 
     def test_published_first_conv_geometry(self):
         layer = Conv1D(1, 32, 8)
-        assert layer.output_shape((144, 1)) == (137, 32)
+        assert layer.forward(np.zeros((0, 144, 1))).shape[1:] == (137, 32)
         assert layer.param_count() == 288
 
     @pytest.mark.parametrize("padding", ["valid", "same"])
@@ -385,11 +385,10 @@ def package_conv_layers():
     multichannel += build_cnn_model("flat", lookback=12, features=5).layers[1:]
     builds.append(("canonical60", make_model((60, 5), multichannel)))
     for tag, model in builds:
-        shape = model.input_shape
-        for i, layer in enumerate(model.layers):
+        shapes = [model.input_shape] + model.output_shapes()
+        for i, (layer, shape) in enumerate(zip(model.layers, shapes)):
             if layer.kind == "conv1d":
                 cases.append(pytest.param(layer, shape[0], id=f"{tag}-{i}"))
-            shape = layer.output_shape(shape)
     for ci, k, padding, L in [(1, 2, "valid", 9), (2, 1, "valid", 7), (1, 8, "valid", 120),
                               (5, 3, "same", 24), (32, 5, "valid", 40), (64, 3, "same", 14)]:
         layer = Conv1D(ci, 1, k, padding=padding, rng=np.random.default_rng(ci * k))
@@ -419,7 +418,7 @@ class TestConv1DPackageShapes:
         layer.params["bias"][...] = rng.standard_normal(layer.out_channels)
         co, ci, k = layer.out_channels, layer.in_channels, layer.kernel_size
         channels = sorted({0, co - 1, *rng.integers(0, co, 2).tolist()})
-        Lo = layer.output_shape((L, ci))[0]
+        Lo = layer.forward(np.zeros((0, L, ci))).shape[1]
         rows = max(1, CONV_CHUNK_ELEMENTS // (Lo * (k * ci + 1)))
         # 2 * rows + 1 rows: two full row chunks and a partial third
         chunked = 2 * rows + 1
@@ -455,8 +454,8 @@ class TestPooling:
         assert np.array_equal(out[0, :, 0], [3.0, 6.0])
 
     def test_published_pool_lengths(self):
-        assert MaxPool1D(3).output_shape((133, 32)) == (44, 32)
-        assert MaxPool1D(3).output_shape((38, 64)) == (12, 64)
+        assert MaxPool1D(3).forward(np.zeros((0, 133, 32))).shape[1:] == (44, 32)
+        assert MaxPool1D(3).forward(np.zeros((0, 38, 64))).shape[1:] == (12, 64)
 
     def test_remainder_dropped(self):
         out = MaxPool1D(3).forward(np.arange(8.0).reshape(1, 8, 1))

@@ -1,11 +1,22 @@
 """Architecture builders, reference-table verification, and checkpoints."""
 
+import json
+import struct
+import time
+
 import numpy as np
 import pytest
 
 from nowcast import models
-from nowcast.errors import CorruptCheckpoint, InputTooShort, UnexpectedMismatch
-from nowcast.nn import BiLSTM, LSTM, Model, load_model, save_model
+from nowcast.errors import (
+    CorruptCheckpoint,
+    InputTooShort,
+    KernelTooLarge,
+    PoolTooLarge,
+    ShapeMismatch,
+    UnexpectedMismatch,
+)
+from nowcast.nn import BiLSTM, Conv1D, Dense, LSTM, MaxPool1D, Model, load_model, save_model
 
 
 class TestLstmBuilder:
@@ -59,13 +70,13 @@ class TestCnnBuilder:
         assert lengths == [137, 133, 44, 44, 42, 40, 13, 12, 11, 10]
 
     def test_min_length(self):
-        assert models.CNN_MIN_LENGTH == 59
+        assert models.cnn_min_length() == 59
 
     def test_short_flat_lookback_raises_with_minimum(self):
         with pytest.raises(InputTooShort) as exc_info:
             models.build_cnn_model("flat", lookback=11, features=5)
         assert exc_info.value.length == 55
-        assert exc_info.value.min_length == models.CNN_MIN_LENGTH
+        assert exc_info.value.min_length == models.cnn_min_length()
 
     def test_no_multichannel_build(self):
         with pytest.raises(ValueError, match="unknown mode"):
@@ -89,6 +100,27 @@ class TestCnnBuilder:
         for layer, shape in zip(model.layers, declared):
             x = layer.forward(x)
             assert x.shape == (1, *shape)
+
+
+class TestShapeChain:
+    @pytest.mark.parametrize("input_shape, layers, error", [
+        ((12, 5), [BiLSTM(6, 4)], ShapeMismatch),
+        ((12, 5), [BiLSTM(5, 4), Dense(8, 1)], ShapeMismatch),
+        ((5, 1), [Conv1D(1, 2, 8)], KernelTooLarge),
+        ((2, 1), [MaxPool1D(3)], PoolTooLarge),
+    ])
+    def test_a_chain_that_does_not_fit_fails_at_build(self, input_shape, layers, error):
+        with pytest.raises(error):
+            Model("test", "canonical", input_shape, layers)
+
+    def test_a_long_sequence_builds_without_stepping(self):
+        # the build's zero-row forward skips the recurrent scan; stepping
+        # ten million empty steps would take minutes
+        t0 = time.perf_counter()
+        layers = [BiLSTM(5, 2), LSTM(4, 3, return_sequences=False)]
+        model = Model("test", "canonical", (10**7, 5), layers)
+        assert time.perf_counter() - t0 < 1.0
+        assert model.output_shapes() == [(10**7, 4), (3,)]
 
 
 class TestVerifyParity:
@@ -156,6 +188,7 @@ class TestBackwardContract:
         with pytest.raises(RuntimeError, match="train-mode forward"):
             model.backward(dy)  # before any forward
         model.forward(x, train=True, rng=np.random.default_rng(1))
+        model.layer_summary()  # reads the build's shapes, runs no forward
         assert model.backward(dy).shape == x.shape
         model.forward(x)
         with pytest.raises(RuntimeError, match="train-mode forward"):
@@ -205,6 +238,21 @@ class TestCheckpoint:
         path = tmp_path / "model.nwm"
         save_model(model, str(path))
         monkeypatch.undo()
+        with pytest.raises(CorruptCheckpoint):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("name, input_shape", [
+        ("bilstm", [24, 6]), ("bilstm", [0, 5]), ("bilstm", [-1, 5]), ("cnn", [5, 1]),
+    ])
+    def test_input_shape_the_layers_do_not_fit_rejected(self, tmp_path, name, input_shape):
+        path = tmp_path / "model.nwm"
+        save_model(models.build_model(name, lookback=24, features=5), str(path))
+        blob = path.read_bytes()
+        (n,) = struct.unpack("<I", blob[8:12])
+        meta = json.loads(blob[12:12 + n])
+        meta["input_shape"] = input_shape
+        raw = json.dumps(meta).encode()
+        path.write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + n:])
         with pytest.raises(CorruptCheckpoint):
             load_model(str(path))
 

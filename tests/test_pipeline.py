@@ -679,6 +679,16 @@ class TestContainer:
         with pytest.raises(CorruptContainer):
             load_windowed(str(path))
 
+    @pytest.mark.parametrize("lookback, features, horizon", [(0, 5, 1), (4, 0, 1), (4, 5, 0)])
+    def test_zero_size_in_header_rejected(self, tmp_path, lookback, features, horizon):
+        import struct
+
+        path = tmp_path / "zero.nwc"
+        path.write_bytes(b"NWC1" + struct.pack("<IIII", 0, lookback, features, horizon)
+                         + bytes(16 * features))
+        with pytest.raises(CorruptContainer):
+            load_windowed(str(path))
+
     def test_header_fields(self, tmp_path):
         ds = self.make_normalized(L=7, h=2, seed=23)
         path = tmp_path / "hdr.nwc"
@@ -723,3 +733,9 @@ class TestObservationInvariants:
             WindowConfig(lookback=0, horizon=1)
         with pytest.raises(ValueError):
             WindowConfig(lookback=1, horizon=0)
+
+    @pytest.mark.parametrize("field", ["lookback", "horizon", "features"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3", None])
+    def test_window_config_sizes_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            WindowConfig(**{"lookback": 3, "horizon": 1, field: value})
