@@ -147,30 +147,30 @@ def check_threshold(threshold):
         raise ValueError(f"the threshold must be a number in [0, 1], got {threshold}")
 
 
-def probabilities(model, X, batch_size=EVAL_BATCH):
-    """Eval-mode output for the rows of X, one forward per block of rows.
+def probabilities(model, X):
+    """Eval-mode output for the rows of X, one forward per EVAL_BATCH rows.
     BLAS rounds by row count, so a row's bits depend on its block: every
     scoring path comes here. No rows still run one (empty) forward."""
     X = np.asarray(X, dtype=np.float64)
     return np.concatenate([
-        model.forward(X[start:start + batch_size], train=False)
-        for start in range(0, max(len(X), 1), batch_size)
+        model.forward(X[start:start + EVAL_BATCH], train=False)
+        for start in range(0, max(len(X), 1), EVAL_BATCH)
     ])
 
 
-def evaluate(model, dataset, threshold=0.5, batch_size=EVAL_BATCH):
+def evaluate(model, dataset, threshold=0.5):
     """Eval-mode metrics at a decision threshold; p == threshold counts as 1.
-    The loss is summed per block of ``batch_size`` rows, then over blocks."""
+    The loss is summed per block of EVAL_BATCH rows, then over blocks."""
     check_threshold(threshold)
     X = np.asarray(dataset.inputs, dtype=np.float64)
     y = np.asarray(dataset.targets, dtype=np.float64)
     n = X.shape[0]
     if n == 0:
         raise EmptyDataset("cannot evaluate an empty dataset")
-    p = probabilities(model, X, batch_size)
+    p = probabilities(model, X)
     loss_sum = 0.0
-    for start in range(0, n, batch_size):
-        losses, _ = bce_with_grad(p[start:start + batch_size], y[start:start + batch_size])
+    for start in range(0, n, EVAL_BATCH):
+        losses, _ = bce_with_grad(p[start:start + EVAL_BATCH], y[start:start + EVAL_BATCH])
         loss_sum += float(losses.sum())
     cls = p >= threshold
     pos = y >= 0.5
