@@ -12,7 +12,6 @@ verification, and checkpoint inspection.
 from .estimators import BiLstmClassifier, Conv1dClassifier, WindowMinMaxScaler
 from .models import build_cnn_model, build_lstm_model, verify_parity
 from .pipeline import (
-    LabelRule,
     NormStats,
     Observation,
     ObservationSeries,
@@ -20,7 +19,6 @@ from .pipeline import (
     WindowConfig,
     WindowedDataset,
     apply_normalizer,
-    binarize_rain,
     filter_monsoon,
     fit_normalizer,
     load_windowed,
@@ -37,7 +35,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BiLstmClassifier",
     "Conv1dClassifier",
-    "LabelRule",
     "NormStats",
     "Observation",
     "ObservationSeries",
@@ -48,7 +45,6 @@ __all__ = [
     "WindowMinMaxScaler",
     "WindowedDataset",
     "apply_normalizer",
-    "binarize_rain",
     "build_cnn_model",
     "build_lstm_model",
     "evaluate",

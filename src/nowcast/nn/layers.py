@@ -15,6 +15,7 @@ the recurrent layers build both on access, as views of stacked arrays.
 """
 
 import functools
+import inspect
 
 import numpy as np
 
@@ -60,8 +61,11 @@ class Layer:
         return sum(a.size for a in self.params.values())
 
     def hyperparams(self):
-        """Constructor arguments needed to rebuild this layer (no weights)."""
-        return {}
+        """Constructor arguments needed to rebuild this layer (no weights):
+        every parameter of the class's ``__init__`` but ``rng``, read from
+        the attribute of the same name."""
+        names = inspect.signature(type(self).__init__).parameters
+        return {name: getattr(self, name) for name in names if name not in ("self", "rng")}
 
     def zero_grads(self):
         for g in self.grads.values():
@@ -101,9 +105,6 @@ class Dense(Layer):
         self.grads["w"] += self._x.T @ dy
         self.grads["b"] += dy.sum(axis=0)
         return dy @ self.params["w"].T
-
-    def hyperparams(self):
-        return {"in_dim": self.in_dim, "out_dim": self.out_dim}
 
 
 class ReLU(Layer):
@@ -276,13 +277,6 @@ class LSTM(Layer):
             dc_next = dc * gf[t]
         return functools.reduce(np.add, self._steps(dxs))
 
-    def hyperparams(self):
-        return {
-            "in_dim": self.in_dim,
-            "hidden_size": self.hidden_size,
-            "return_sequences": self.return_sequences,
-        }
-
 
 class BiLSTM(LSTM):
     """Two independent LSTMs, one over the sequence and one over its
@@ -295,9 +289,6 @@ class BiLSTM(LSTM):
 
     def __init__(self, in_dim, hidden_size, rng=None):
         super().__init__(in_dim, hidden_size, rng=rng)
-
-    def hyperparams(self):
-        return {"in_dim": self.in_dim, "hidden_size": self.hidden_size}
 
 
 class Conv1D(Layer):
@@ -400,14 +391,6 @@ class Conv1D(Layer):
         left, L = self._trim
         return dxp[:, left:left + L]
 
-    def hyperparams(self):
-        return {
-            "in_channels": self.in_channels,
-            "out_channels": self.out_channels,
-            "kernel_size": self.kernel_size,
-            "padding": self.padding,
-        }
-
 
 class MaxPool1D(Layer):
     """Non-overlapping max pooling; trailing remainder positions dropped."""
@@ -438,9 +421,6 @@ class MaxPool1D(Layer):
         dx = np.zeros((B, L, C))
         dx[:, :n * p] = dxr.reshape(B, n * p, C)
         return dx
-
-    def hyperparams(self):
-        return {"pool_size": self.pool_size}
 
 
 class GlobalAvgPool1D(Layer):
@@ -483,9 +463,6 @@ class Dropout(Layer):
         if self._scaled_mask is None:
             return dy
         return dy * self._scaled_mask
-
-    def hyperparams(self):
-        return {"rate": self.rate}
 
 
 LAYER_KINDS = {

@@ -9,6 +9,10 @@ stamps, a feature block, a filled mask), and the stages work on those
 arrays; ``Observation`` is the validation and convenience type for one
 record.
 
+``parse_raw_csv`` reads two schemas, and each parser states its own fixed
+rain rule: an indian rainfall reading is 1 when nonzero, a kaggle weather
+description is 1 when it contains a word of ``RAIN_KEYWORDS``.
+
 Window rows are timestep-major: all five features for the oldest hour
 first, ending with the five features of the anchor hour, so a row is
 lookback * 5 wide (120 for a 24-hour lookback). The target is the rain
@@ -101,15 +105,14 @@ class ObservationSeries:
     ``cadence`` is None for raw (possibly sub-hourly) data and one hour
     after ``resample_hourly``.
 
-    The constructor takes one list of Observation per segment (timestamps
-    are kept to the second); ``segments`` and ``records`` build them back
-    on demand.
+    ``ObservationSeries(segments, cadence)`` takes one list of Observation
+    per segment (timestamps are kept to the second); ``segments`` and
+    ``records`` build them back on demand.
     """
 
-    def __init__(self, station_id, segments=(), cadence=None):
+    def __init__(self, segments=(), cadence=None):
         segments = [list(seg) for seg in segments]
         records = [o for seg in segments for o in seg]
-        self.station_id = station_id
         self.cadence = cadence
         self.stamps = np.array([_epoch_seconds(o.timestamp) for o in records], dtype=np.int64)
         self.values = np.array([o.features() for o in records]).reshape(-1, FEATURE_COUNT)
@@ -117,8 +120,8 @@ class ObservationSeries:
         self.offsets = np.cumsum([0] + [len(seg) for seg in segments], dtype=np.int64)
 
     @classmethod
-    def from_columns(cls, station_id, stamps, values, filled, offsets, cadence=None):
-        series = cls(station_id, cadence=cadence)
+    def from_columns(cls, stamps, values, filled, offsets, cadence=None):
+        series = cls(cadence=cadence)
         series.stamps, series.values, series.filled, series.offsets = (
             stamps, values, filled, offsets
         )
@@ -231,37 +234,6 @@ class SplitSpec:
             raise ValueError("train_fraction must be in (0, 1)")
 
 
-@dataclass(frozen=True)
-class LabelRule:
-    """How a raw rainfall label becomes {0, 1}.
-
-    numeric_passthrough: any nonzero numeric label is 1.
-    keyword_match: 1 iff the lowercased description contains a keyword;
-    unknown descriptions map to 0.
-    """
-
-    kind: str
-    keywords: tuple = RAIN_KEYWORDS
-
-    @classmethod
-    def numeric_passthrough(cls):
-        return cls(kind="numeric")
-
-    @classmethod
-    def keyword_match(cls, keywords=RAIN_KEYWORDS):
-        return cls(kind="keywords", keywords=tuple(k.lower() for k in keywords))
-
-
-def binarize_rain(raw_label, rule):
-    """Collapse a raw rainfall label (number or description) to {0, 1}."""
-    if rule.kind == "numeric":
-        return int(float(raw_label) != 0.0)
-    if rule.kind == "keywords":
-        text = str(raw_label).lower()
-        return int(any(k in text for k in rule.keywords))
-    raise ValueError(f"unknown label rule {rule.kind!r}")
-
-
 def _as_text_lines(source):
     """The text lines of a path string, raw bytes, or file-like object,
     split at LF, CRLF or a lone CR as a file opened with ``newline=""``
@@ -286,7 +258,7 @@ def _epoch_seconds(ts):
     return (ts - _EPOCH) // timedelta(seconds=1)
 
 
-def _finish_series(stamps, values, station_id):
+def _finish_series(stamps, values):
     """Sort, deduplicate, and wrap parsed stamps and flat feature values."""
     if not len(stamps):
         raise NoData("no valid rows parsed")
@@ -307,11 +279,11 @@ def _finish_series(stamps, values, station_id):
         stamps, values = stamps[first], values[first]
     n = len(stamps)
     return ObservationSeries.from_columns(
-        station_id, stamps, values, np.zeros(n, dtype=bool), np.array([0, n]), cadence=None
+        stamps, values, np.zeros(n, dtype=bool), np.array([0, n]), cadence=None
     )
 
 
-def _indian_row(fields, rule):
+def _indian_row(fields):
     """One data row as an Observation; raises the ValueError, IndexError
     or OverflowError that names the row's first fault."""
     year, month, day = int(fields[0]), int(fields[1]), int(fields[2])
@@ -322,7 +294,7 @@ def _indian_row(fields, rule):
         wind_speed=float(fields[5]),
         humidity=float(fields[6]),
         pressure=float(fields[7]),
-        rain=binarize_rain(fields[8], rule),
+        rain=int(float(fields[8]) != 0.0),
     )
 
 
@@ -396,20 +368,19 @@ def _indian_columns(body):
     return stamps, values
 
 
-def _parse_indian(lines, station_id):
+def _parse_indian(lines):
     """Parse the body as columns; a body that fails that path goes through
     the row loop, which reports its first bad row."""
     reader = _indian_reader(lines)
     columns = _indian_columns(lines[reader.line_num:])
     if columns is None:
-        return _parse_indian_rows(lines, station_id)
-    return _finish_series(*columns, station_id or "indian-station")
+        return _parse_indian_rows(lines)
+    return _finish_series(*columns)
 
 
-def _parse_indian_rows(lines, station_id):
+def _parse_indian_rows(lines):
     """Parse row by row, stopping at the first bad row with its line number."""
     reader = _indian_reader(lines)
-    rule = LabelRule.numeric_passthrough()
     stamps = []
     values = []
     for line_no, fields in enumerate(reader, start=2):
@@ -418,16 +389,18 @@ def _parse_indian_rows(lines, station_id):
         if len(fields) < 9:
             raise MalformedRow(line_no, f"expected 9 columns, got {len(fields)}")
         try:
-            obs = _indian_row(fields, rule)
+            obs = _indian_row(fields)
         except (ValueError, IndexError, OverflowError) as exc:
             raise MalformedRow(line_no, str(exc)) from None
         stamps.append(_epoch_seconds(obs.timestamp))
         values.extend(obs.features())
-    return _finish_series(stamps, values, station_id or "indian-station")
+    return _finish_series(stamps, values)
 
 
 def _parse_kaggle_table(lines, city, what, numeric):
-    """One wide parameter file: datetime column plus one column per city."""
+    """One wide parameter file: datetime column plus one column per city.
+    Of two rows for one hour the first is kept, as the indian schema does;
+    the later one is still parsed, so a bad cell there names its line."""
     reader = csv.reader(lines)
     try:
         header = next(reader)
@@ -439,6 +412,7 @@ def _parse_kaggle_table(lines, city, what, numeric):
     except ValueError:
         raise NoData(f"city {city!r} not in {what} columns {columns[1:]}") from None
     values = {}
+    dupes = 0
     for line_no, fields in enumerate(reader, start=2):
         if not fields or all(not f.strip() for f in fields):
             continue
@@ -447,13 +421,22 @@ def _parse_kaggle_table(lines, city, what, numeric):
             continue  # missing cell: that hour is simply absent for this parameter
         try:
             ts = datetime.strptime(fields[0].strip(), "%Y-%m-%d %H:%M:%S")
-            values[ts] = (float(raw) if numeric else raw, line_no)
+            value = float(raw) if numeric else raw
         except ValueError as exc:
             raise MalformedRow(line_no, f"{what}: {exc}") from None
+        if ts in values:
+            dupes += 1
+        else:
+            values[ts] = (value, line_no)
+    if dupes:
+        warnings.warn(
+            f"{what}: {dupes} duplicate timestamp(s) collapsed to first occurrence",
+            DuplicateTimestampWarning,
+        )
     return values
 
 
-def _parse_kaggle(tables, city, station_id):
+def _parse_kaggle(tables, city):
     missing = [p for p in KAGGLE_PARAMETERS if p not in tables]
     if missing:
         raise NoData(f"kaggle schema needs files for {missing}")
@@ -464,11 +447,11 @@ def _parse_kaggle(tables, city, station_id):
         for p in KAGGLE_PARAMETERS
     }
     shared = set.intersection(*(set(v) for v in parsed.values()))
-    rule = LabelRule.keyword_match()
     stamps = []
     values = []
     for ts in sorted(shared):
         # strptime dominates here, so each hour is checked as an Observation
+        description = parsed["weather_description"][ts][0].lower()
         try:
             obs = Observation(
                 timestamp=ts,
@@ -476,33 +459,36 @@ def _parse_kaggle(tables, city, station_id):
                 wind_speed=parsed["wind_speed"][ts][0],
                 humidity=parsed["humidity"][ts][0],
                 pressure=parsed["pressure"][ts][0],
-                rain=binarize_rain(parsed["weather_description"][ts][0], rule),
+                rain=int(any(k in description for k in RAIN_KEYWORDS)),
             )
         except ValueError as exc:
             line_no = parsed["temperature"][ts][1]
             raise MalformedRow(line_no, str(exc)) from None
         stamps.append(_epoch_seconds(ts))
         values.extend(obs.features())
-    return _finish_series(stamps, values, station_id or city)
+    return _finish_series(stamps, values)
 
 
-def parse_raw_csv(source, schema="indian", city=None, station_id=None):
+def parse_raw_csv(source, schema="indian", city=None):
     """Parse raw weather CSV data into a single-segment ObservationSeries.
 
     schema 'indian' takes one stream/path with columns
-    Year,Month,Date,Time,Temp,WindSpeed,Humidity,Pressure,Rainfall.
+    Year,Month,Date,Time,Temp,WindSpeed,Humidity,Pressure,Rainfall; the
+    rain flag is 1 where Rainfall is nonzero.
     schema 'kaggle_city' takes a mapping of parameter name
     (temperature, wind_speed, humidity, pressure, weather_description) to
     stream/path, each a wide table keyed by datetime with one column per
-    city; ``city`` selects the column and the description is keyword-
-    binarized into the rain flag.
+    city; ``city`` selects the column, and the rain flag is 1 where the
+    lowercased description contains a word of ``RAIN_KEYWORDS``.
+    Any other schema name raises ValueError. Either schema keeps the first
+    row of a duplicated timestamp, with a DuplicateTimestampWarning.
     """
     if schema == "indian":
-        return _parse_indian(_as_text_lines(source), station_id)
-    if schema in ("kaggle_city", "kaggle"):
+        return _parse_indian(_as_text_lines(source))
+    if schema == "kaggle_city":
         if city is None:
             raise ValueError("kaggle schema needs a city")
-        return _parse_kaggle(source, city, station_id)
+        return _parse_kaggle(source, city)
     raise ValueError(f"unknown schema {schema!r}")
 
 
@@ -542,7 +528,6 @@ def resample_hourly(series):
     out = values[src]
     out[copy, RAIN_INDEX] = 0.0
     return ObservationSeries.from_columns(
-        series.station_id,
         (hour[src] + step) * HOUR_S,
         out,
         series.filled[groups][src] | copy,
@@ -567,7 +552,6 @@ def filter_monsoon(series, months=DEFAULT_MONSOON_MONTHS):
     run_start[series.offsets[:-1][series.offsets[:-1] < len(keep)]] = True
     run_start[1:] |= ~keep[:-1]
     return ObservationSeries.from_columns(
-        series.station_id,
         series.stamps[kept],
         series.values[kept],
         series.filled[kept],

@@ -33,13 +33,7 @@ def trend_score(humidity, pressure, t):
 REGIME_FLIP_PROB = 1.0 / 50.0  # mean front length ~2 days
 
 
-def make_series(
-    hours,
-    seed=0,
-    label_noise=0.0,
-    start=datetime(2015, 6, 1),
-    station_id="synthetic",
-):
+def make_series(hours, seed=0, label_noise=0.0, start=datetime(2015, 6, 1)):
     """Generate an hourly ObservationSeries of the given length.
 
     Weather alternates between persistent moist and dry fronts; during a
@@ -110,7 +104,7 @@ def make_series(
         )
         for t in range(hours)
     ]
-    return ObservationSeries(station_id=station_id, segments=[records], cadence=HOUR)
+    return ObservationSeries(segments=[records], cadence=HOUR)
 
 
 def write_indian_csv(series, path):

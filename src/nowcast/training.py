@@ -271,18 +271,17 @@ def fit(model, train, validation=None, test=None, cfg=None):
 @dataclass(frozen=True)
 class RunSpec:
     """One training run: model key or alias, the share of the training
-    rows held out as a validation tail, and the optimizer settings.
-    ``config.seed`` seeds both the build and the fit."""
+    rows held out as a validation tail (in [0, 1), so some rows are left
+    to train on), and the optimizer settings. ``config.seed`` seeds both
+    the build and the fit."""
 
     model: str
     val_fraction: float
     config: TrainConfig
 
     def __post_init__(self):
-        if not 0.0 <= self.val_fraction < np.inf:
-            raise ValueError(
-                f"the validation fraction must be finite and >= 0, got {self.val_fraction}"
-            )
+        if not 0.0 <= self.val_fraction < 1.0:
+            raise ValueError(f"the validation fraction must be in [0, 1), got {self.val_fraction}")
 
 
 def _rows(ds, a, b):
@@ -304,7 +303,7 @@ def run(spec, train, test=None):
     if spec.val_fraction:
         n = train.n_rows
         n_val = max(1, int(round(n * spec.val_fraction)))
-        if n_val >= n:
+        if n_val >= n:  # a fraction below 1 of a few rows can still round up to all
             raise ValueError("the validation fraction leaves no training rows")
         train, validation = _rows(train, 0, n - n_val), _rows(train, n - n_val, n)
     log = fit(model, train, validation=validation, test=test, cfg=spec.config)

@@ -220,7 +220,7 @@ def test_criterion_5_window_laws():
             seg = synthetic.make_series(M, seed=int(rng.integers(1e6)), start=t).records
             segments.append(seg)
             t += timedelta(hours=M + 100)
-        series = pipeline.ObservationSeries("x", segments, cadence=pipeline.HOUR)
+        series = pipeline.ObservationSeries(segments, cadence=pipeline.HOUR)
         with _warnings.catch_warnings():
             _warnings.simplefilter("ignore")
             ds = pipeline.make_windows(series, pipeline.WindowConfig(lookback=L, horizon=h))
@@ -367,7 +367,7 @@ def test_criterion_10_qualitative_ordering(tmp_path):
     # rainy-city series; absolute accuracies are recorded, not asserted
     csv_path = str(tmp_path / "city.csv")
     synthetic.write_indian_csv(
-        synthetic.make_series(2500, seed=7, label_noise=0.05, station_id="rainy-city"),
+        synthetic.make_series(2500, seed=7, label_noise=0.05),
         csv_path,
     )
     out = str(tmp_path / "grid")

@@ -380,6 +380,7 @@ class TestGrid:
             ("bilstm", "6,6", "1", []),
             ("bilstm", "6", "1,1", []),
             ("bilstm", "6", "1", ["--val-split", "-0.5"]),
+            ("bilstm", "6", "1", ["--val-split", "1"]),
         ]):
             out = tmp_path / f"grid{i}"
             code = main([

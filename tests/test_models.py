@@ -234,7 +234,10 @@ class TestCheckpoint:
 
     def test_bilstm_sequence_switch_rejected(self, tmp_path, monkeypatch):
         model = models.build_lstm_model("canonical", lookback=4, features=5)
-        monkeypatch.setattr(BiLSTM, "hyperparams", LSTM.hyperparams)
+        rule = BiLSTM.hyperparams
+        monkeypatch.setattr(
+            BiLSTM, "hyperparams", lambda self: {**rule(self), "return_sequences": True}
+        )
         path = tmp_path / "model.nwm"
         save_model(model, str(path))
         monkeypatch.undo()

@@ -22,13 +22,13 @@ from nowcast.errors import (
 )
 from nowcast.pipeline import (
     HOUR,
-    LabelRule,
     Observation,
     ObservationSeries,
     SplitSpec,
     WindowConfig,
+    _indian_columns,
+    _parse_indian_rows,
     apply_normalizer,
-    binarize_rain,
     filter_monsoon,
     fit_normalizer,
     load_windowed,
@@ -72,7 +72,7 @@ def hourly_series(feature_rows, start=datetime(2015, 6, 1), segment_breaks=()):
         )
         t += HOUR
     segments.append(current)
-    return ObservationSeries("test", segments, cadence=HOUR)
+    return ObservationSeries(segments, cadence=HOUR)
 
 
 def random_feature_rows(rng, n):
@@ -215,36 +215,47 @@ KAGGLE_VOCAB_DRY = [
 ]
 
 
+def kaggle_rain(descriptions):
+    """The rain flags the kaggle parser gives hours with these descriptions."""
+    tables = kaggle_tables(len(descriptions), descriptions=descriptions)
+    series = parse_raw_csv(tables, schema="kaggle_city", city="Rainville")
+    return series.values[:, pipeline.RAIN_INDEX].tolist()
+
+
 class TestBinarizeRain:
+    """Each schema's own rain rule, through its parser."""
+
     def test_numeric_passthrough(self):
-        rule = LabelRule.numeric_passthrough()
-        assert binarize_rain(1, rule) == 1
-        assert binarize_rain("1", rule) == 1
-        assert binarize_rain(0, rule) == 0
-        assert binarize_rain(2.5, rule) == 1
+        rainfall = ["1", "0", "2.5", "0.0", "1.0"]
+        text = RAW_SAMPLE.splitlines()[0] + "".join(
+            f"\n2010,7,15,{i:02d}:00,27,13,84,1004,{r}" for i, r in enumerate(rainfall)
+        )
+        assert _indian_columns(text.splitlines()[1:]) is not None
+        for parse in (parse_raw_csv, _parse_indian_rows):
+            series = parse(io.StringIO(text))
+            assert series.values[:, pipeline.RAIN_INDEX].tolist() == [1, 0, 1, 0, 1]
 
     def test_clear_sky_is_dry(self):
-        assert binarize_rain("sky is clear", LabelRule.keyword_match()) == 0
+        assert kaggle_rain(["sky is clear"]) == [0]
 
     def test_light_rain_is_wet(self):
-        assert binarize_rain("light rain", LabelRule.keyword_match()) == 1
+        assert kaggle_rain(["light rain"]) == [1]
 
     def test_default_keywords_cover_public_vocabulary(self):
-        rule = LabelRule.keyword_match()
-        for phrase in KAGGLE_VOCAB_RAINY:
-            assert binarize_rain(phrase, rule) == 1, phrase
-        for phrase in KAGGLE_VOCAB_DRY:
-            assert binarize_rain(phrase, rule) == 0, phrase
+        phrases = KAGGLE_VOCAB_RAINY + KAGGLE_VOCAB_DRY
+        rains = kaggle_rain(phrases)
+        assert [p for p, rain in zip(phrases, rains) if rain] == KAGGLE_VOCAB_RAINY
 
     def test_case_insensitive(self):
-        assert binarize_rain("Light Rain", LabelRule.keyword_match()) == 1
+        assert kaggle_rain(["Light Rain", "THUNDERSTORM", "Sky Is Clear"]) == [1, 1, 0]
 
     def test_unknown_maps_to_zero(self):
-        assert binarize_rain("quantum storm of frogs", LabelRule.keyword_match()) == 0
+        assert kaggle_rain(["quantum storm of frogs"]) == [0]
 
 
-def kaggle_tables(hours, city="Rainville", other="Dryburg"):
-    """Fabricate the five wide per-parameter files."""
+def kaggle_tables(hours, city="Rainville", other="Dryburg", descriptions=None):
+    """Fabricate the five wide per-parameter files; without ``descriptions``
+    every third hour reads "light rain" and the rest "sky is clear"."""
     start = datetime(2013, 6, 1)
     stamps = [(start + i * HOUR).strftime("%Y-%m-%d %H:%M:%S") for i in range(hours)]
     rng = np.random.default_rng(0)
@@ -255,7 +266,8 @@ def kaggle_tables(hours, city="Rainville", other="Dryburg"):
             lines.append(f"{ts},0,{v}")
         return io.StringIO("\n".join(lines) + "\n")
 
-    descriptions = ["light rain" if i % 3 == 0 else "sky is clear" for i in range(hours)]
+    if descriptions is None:
+        descriptions = ["light rain" if i % 3 == 0 else "sky is clear" for i in range(hours)]
     return {
         "temperature": wide(np.round(rng.uniform(280, 310, hours), 2)),
         "wind_speed": wide(np.round(rng.uniform(0, 12, hours), 2)),
@@ -291,6 +303,26 @@ class TestParseKaggle:
     def test_city_required(self):
         with pytest.raises(ValueError):
             parse_raw_csv(kaggle_tables(4), schema="kaggle_city")
+
+    def test_kaggle_is_not_a_schema_name(self):
+        with pytest.raises(ValueError, match="unknown schema 'kaggle'"):
+            parse_raw_csv(kaggle_tables(4), schema="kaggle", city="Rainville")
+
+    def test_duplicate_hour_keeps_first_row_and_warns(self):
+        tables = kaggle_tables(2)
+        temperature = "datetime,Dryburg,Rainville\n" + "".join(
+            f"2013-06-01 {hh}:00:00,0,{t}\n" for hh, t in (("00", 20), ("01", 21), ("00", 99))
+        )
+        tables["temperature"] = io.StringIO(temperature)
+        with pytest.warns(DuplicateTimestampWarning, match="temperature: 1 duplicate"):
+            series = parse_raw_csv(tables, schema="kaggle_city", city="Rainville")
+        assert series.values[:, 0].tolist() == [20.0, 21.0]
+        # the later row is still parsed, so a bad cell there names its line
+        tables = kaggle_tables(2)
+        tables["temperature"] = io.StringIO(temperature.replace(",99", ",hot"))
+        with pytest.raises(MalformedRow) as exc_info:
+            parse_raw_csv(tables, schema="kaggle_city", city="Rainville")
+        assert exc_info.value.line_no == 4
 
     def test_bad_numeric_cell_reports_line(self):
         tables = kaggle_tables(4)
@@ -381,7 +413,7 @@ class TestResampleHourly:
             )
             for o in obs[50:]
         ]
-        out = resample_hourly(ObservationSeries("t", [gapped]))
+        out = resample_hourly(ObservationSeries([gapped]))
         assert len(out.segments) == 2
         assert len(out.segments[0]) == 50 and len(out.segments[1]) == 50
         assert not any(o.filled for o in out.records)
@@ -398,7 +430,7 @@ class TestResampleHourly:
             )
             for o in obs[5:]
         ]
-        out = resample_hourly(ObservationSeries("t", [gapped]))
+        out = resample_hourly(ObservationSeries([gapped]))
         assert len(out.segments) == 1
         seg = out.segments[0]
         assert len(seg) == 13

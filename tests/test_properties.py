@@ -153,7 +153,7 @@ def raw_series(draw):
     ]
     cuts = sorted(draw(st.lists(st.integers(0, len(records)), max_size=4)))
     bounds = [0] + cuts + [len(records)]
-    return ObservationSeries("p", [records[a:b] for a, b in zip(bounds, bounds[1:])])
+    return ObservationSeries([records[a:b] for a, b in zip(bounds, bounds[1:])])
 
 
 @st.composite
@@ -286,9 +286,7 @@ def parse_outcome(parse, text):
 
 
 def assert_parses_like_the_row_loop(text, kind):
-    assert parse_outcome(parse_raw_csv, text) == parse_outcome(
-        lambda stream: _parse_indian_rows(stream, None), text
-    )
+    assert parse_outcome(parse_raw_csv, text) == parse_outcome(_parse_indian_rows, text)
     body = io.StringIO(text).readlines()[1:]
     has_rows = any(line.strip() for line in body)
     assert (_indian_columns(body) is not None) == (kind == "columnar" and has_rows)
