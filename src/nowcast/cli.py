@@ -4,13 +4,13 @@ inspect checkpoints.
 
 Exit codes: 0 success, 1 usage, 2 data error, 3 numeric failure,
 4 parity mismatch. ``NOWCAST_THREADS`` is the number of worker processes
-``grid`` trains its cells in (the name predates the process pool; threads
-do not overlap training, which holds the interpreter lock). Each cell
-trains on its own (train, test) pair with its own seed, so the worker
-count never changes results; at 1, the default, the cells run in order in
-this process; a value that is not a whole number of at least 1 is a data
-error. Each worker holds OpenBLAS to one thread, so the workers do not
-oversubscribe the cores.
+``grid`` trains its cells in (the name predates the process pool). Each
+cell trains on its own (train, test) pair with its own seed, so the
+worker count never changes results; at 1, the default, the cells run in
+order in this process; a value that is not a whole number of at least 1
+is a data error. Outside a pooled grid the CNN's convolutions run on every
+core the process may use; each pool worker holds its convolutions and
+OpenBLAS to one thread, so the workers do not oversubscribe the cores.
 """
 
 import argparse
@@ -33,7 +33,7 @@ from .errors import (
     ShapeMismatch,
     UnexpectedMismatch,
 )
-from .nn import load_model, save_model
+from .nn import layers, load_model, save_model
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -276,16 +276,20 @@ def worker_count():
     return count
 
 
-def _one_blas_thread():
-    """Pool initializer: hold a worker's OpenBLAS to one thread.
+def _one_thread_worker():
+    """Pool initializer: hold a grid worker's conv and OpenBLAS to one
+    thread each, so ``NOWCAST_THREADS`` workers run that many busy threads.
 
     A forked worker keeps the parent's BLAS thread count, and an idle
     BLAS thread spins, so two workers on two cores ran four busy threads:
     an 8-cell grid of both nets took 621 s instead of 212 s on a 2-vCPU
-    VM. One thread per worker changes no result bit; the pooled grid stays
-    byte-identical to the serial one. Does nothing where no OpenBLAS is
-    mapped (or there is no ``/proc``).
+    VM. The conv would likewise take one thread per usable core in every
+    worker. Neither count changes a result bit; the pooled grid stays
+    byte-identical to the serial one. The BLAS step does nothing where no
+    OpenBLAS is mapped (or there is no ``/proc``).
     """
+    layers.CONV_THREADS = 1
+
     import ctypes
 
     try:
@@ -337,7 +341,7 @@ def cmd_grid(args):
         # only a pooled grid needs
         from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 
-        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_one_thread_worker) as pool:
             futures = [pool.submit(_run_cell, *t) for t in tasks]
             wait(futures, return_when=FIRST_EXCEPTION)
             # a failure cancels the cells not yet started; every cell before

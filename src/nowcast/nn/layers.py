@@ -16,12 +16,54 @@ the recurrent layers build both on access, as views of stacked arrays.
 
 import functools
 import inspect
+import os
 
 import numpy as np
 
 from ..errors import KernelTooLarge, PoolTooLarge, ShapeMismatch
 
 CONV_CHUNK_ELEMENTS = 1 << 16   # Conv1D forward: window-matrix elements per row chunk
+# Conv1D threads: None for one per core the process may run on; the grid's
+# pool initializer sets 1 in each worker
+CONV_THREADS = None
+_pool = (None, 0, None)   # (pid, workers, executor) of the conv thread pool
+
+
+def conv_threads():
+    """How many threads a Conv1D pass may use: ``CONV_THREADS``, or the
+    number of cores in this process's CPU affinity, so ``taskset`` limits it."""
+    if CONV_THREADS is not None:
+        return CONV_THREADS
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_at_once(tasks):
+    """Run zero-argument tasks, in order on the calling thread if there is
+    one task or one conv thread, else all at once: the first on the calling
+    thread, the rest on the conv pool. Returns when every task is done and
+    raises the first failure. The pool is made on first need, and made anew
+    in a forked child, which must not submit to threads it did not inherit."""
+    global _pool
+    if len(tasks) == 1 or conv_threads() == 1:
+        for task in tasks:
+            task()
+        return
+    pid, workers, pool = _pool
+    if pid != os.getpid() or workers < len(tasks) - 1:
+        # imported here: a run with no conv starts no thread and loads no pool
+        from concurrent.futures import ThreadPoolExecutor
+
+        workers = len(tasks) - 1
+        pool = ThreadPoolExecutor(workers, thread_name_prefix="nowcast-conv")
+        _pool = (os.getpid(), workers, pool)
+    futures = [pool.submit(task) for task in tasks[1:]]
+    try:
+        tasks[0]()
+    finally:
+        for future in futures:
+            future.result()
 
 
 def sigmoid(x, out=None):
@@ -306,6 +348,14 @@ class Conv1D(Layer):
     where the loop gives -0.0 (equal under ``==``). Training from the zero
     initial bias never produces a -0.0 bias.
 
+    Both passes use up to ``conv_threads()`` threads; each output element is
+    computed by one thread in the same order as on one, so the thread count
+    never changes a bit. The forward splits its B rows into one contiguous
+    share per thread, each with its own window-matrix buffer; all buffers
+    and the output are allocated on the calling thread, which also runs the
+    first share. The backward runs its kernel-gradient loop and its
+    input-gradient loop on two threads; each loop keeps its own order.
+
     The backward pass is free to use matmul. Same padding splits k-1 zeros
     symmetrically with the extra column on the right for even k.
     """
@@ -364,14 +414,22 @@ class Conv1D(Layer):
         kk[1:] = self.params["kernel"].reshape(k * ci, co)
         y = np.empty((B, Lo, co))
         rows = max(1, CONV_CHUNK_ELEMENTS // (Lo * q))
-        cols = np.empty((min(rows, B), Lo, q))
-        cols[:, :, 0] = 1.0
-        taps = cols[:, :, 1:].reshape(len(cols), Lo, k, ci)
         windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)
-        for a in range(0, B, rows):
-            r = min(rows, B - a)
-            taps[:r] = windows[a:a + r].transpose(0, 1, 3, 2)
-            np.einsum("rtq,qo->rto", cols[:r], kk, out=y[a:a + r], optimize=False)
+        shares = max(1, min(conv_threads(), B))
+        bounds = [B * s // shares for s in range(shares + 1)]
+        cols = [np.empty((min(rows, end - start), Lo, q))
+                for start, end in zip(bounds, bounds[1:])]
+
+        def share(s):
+            c = cols[s]
+            c[:, :, 0] = 1.0
+            taps = c[:, :, 1:].reshape(len(c), Lo, k, ci)
+            for a in range(bounds[s], bounds[s + 1], rows):
+                r = min(rows, bounds[s + 1] - a)
+                taps[:r] = windows[a:a + r].transpose(0, 1, 3, 2)
+                np.einsum("rtq,qo->rto", c[:r], kk, out=y[a:a + r], optimize=False)
+
+        _run_at_once([functools.partial(share, s) for s in range(shares)])
         return y
 
     def backward(self, dy):
@@ -383,10 +441,17 @@ class Conv1D(Layer):
         dk = self.grads["kernel"]
         dy2 = dy.reshape(B * Lo, self.out_channels)
         dxp = np.zeros_like(xp)
-        for j in range(k):
-            xj = np.ascontiguousarray(xp[:, j:j + Lo]).reshape(B * Lo, ci)
-            dk[j] += xj.T @ dy2
-            dxp[:, j:j + Lo] += dy @ kernel[j].T
+
+        def kernel_grad():
+            for j in range(k):
+                xj = np.ascontiguousarray(xp[:, j:j + Lo]).reshape(B * Lo, ci)
+                dk[j] += xj.T @ dy2
+
+        def input_grad():
+            for j in range(k):
+                dxp[:, j:j + Lo] += dy @ kernel[j].T
+
+        _run_at_once([kernel_grad, input_grad])
         self.grads["bias"] += dy2.sum(axis=0)
         left, L = self._trim
         return dxp[:, left:left + L]
@@ -469,33 +534,6 @@ LAYER_KINDS = {
     cls.kind: cls
     for cls in (Dense, ReLU, Sigmoid, LSTM, BiLSTM, Conv1D, MaxPool1D, GlobalAvgPool1D, Dropout)
 }
-
-
-def formula_param_count(kind, **hp):
-    """Closed-form trainable-parameter count for a layer kind.
-
-    dense: in*out + out; lstm: 4H(d+H+1); bilstm doubles that;
-    conv1d: C_out*(k*C_in + 1); activation/pool/dropout layers: 0.
-    Cross-checked in tests against the sizes of the stored arrays.
-    """
-    if kind == "dense":
-        return hp["in_dim"] * hp["out_dim"] + hp["out_dim"]
-    if kind == "lstm":
-        h = hp["hidden_size"]
-        return 4 * h * (hp["in_dim"] + h + 1)
-    if kind == "bilstm":
-        h = hp["hidden_size"]
-        return 2 * 4 * h * (hp["in_dim"] + h + 1)
-    if kind == "conv1d":
-        return hp["out_channels"] * (hp["kernel_size"] * hp["in_channels"] + 1)
-    if kind in ("relu", "sigmoid", "maxpool1d", "gap1d", "dropout"):
-        return 0
-    raise ValueError(f"unknown layer kind {kind!r}")
-
-
-def model_param_count(layer_specs):
-    """Total count over (kind, hyperparams) pairs."""
-    return sum(formula_param_count(kind, **hp) for kind, hp in layer_specs)
 
 
 def layer_from_hyperparams(kind, hyperparams):

@@ -41,7 +41,10 @@ from .errors import (
     SegmentTooShortWarning,
 )
 
-FEATURES = ("temperature", "wind_speed", "humidity", "pressure", "rain")
+# the continuous readings, each the name of an Observation field and of a
+# kaggle table
+READINGS = ("temperature", "wind_speed", "humidity", "pressure")
+FEATURES = READINGS + ("rain",)
 FEATURE_COUNT = len(FEATURES)
 RAIN_INDEX = FEATURES.index("rain")
 HOUR = timedelta(hours=1)
@@ -55,13 +58,24 @@ CONTAINER_MAGIC = b"NWC1"
 INDIAN_HEADER = (
     "year", "month", "date", "time", "temp", "windspeed", "humidity", "pressure", "rainfall",
 )
-KAGGLE_PARAMETERS = (
-    "temperature", "wind_speed", "humidity", "pressure", "weather_description",
-)
+KAGGLE_PARAMETERS = READINGS + ("weather_description",)
 # np.loadtxt fields of an indian-schema body row: year, month and day, the
 # HH:MM clock, then the FEATURES readings (the rain column still raw)
 _INDIAN_DTYPE = [("date", "<i8", (3,)), ("clock", "<U6"), ("readings", "<f8", (FEATURE_COUNT,))]
 _MONTH_DAYS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
+
+
+def _check_reading(name, value):
+    """Raise the ValueError that names what is wrong with a ``name`` reading
+    (one of ``READINGS``). NaN compares false and would slip past
+    ``pressure <= 0``; the humidity range check already rejects NaN and inf."""
+    if name == "humidity":
+        if not 0.0 <= value <= 100.0:
+            raise ValueError(f"humidity {value} outside [0, 100]")
+    elif not math.isfinite(value):
+        raise ValueError(f"{name.replace('_', ' ')} {value} is not finite")
+    elif name == "pressure" and value <= 0.0:
+        raise ValueError(f"pressure {value} must be positive")
 
 
 @dataclass(frozen=True)
@@ -77,18 +91,8 @@ class Observation:
     filled: bool = False
 
     def __post_init__(self):
-        # NaN compares false and would slip past ``pressure <= 0``; the
-        # humidity range check already rejects NaN and inf
-        if not math.isfinite(self.temperature):
-            raise ValueError(f"temperature {self.temperature} is not finite")
-        if not math.isfinite(self.wind_speed):
-            raise ValueError(f"wind speed {self.wind_speed} is not finite")
-        if not math.isfinite(self.pressure):
-            raise ValueError(f"pressure {self.pressure} is not finite")
-        if not 0.0 <= self.humidity <= 100.0:
-            raise ValueError(f"humidity {self.humidity} outside [0, 100]")
-        if self.pressure <= 0.0:
-            raise ValueError(f"pressure {self.pressure} must be positive")
+        for name in READINGS:
+            _check_reading(name, getattr(self, name))
         if self.rain not in (0, 1):
             raise ValueError(f"rain flag {self.rain} not in {{0, 1}}")
 
@@ -288,14 +292,18 @@ def _indian_row(fields):
     or OverflowError that names the row's first fault."""
     year, month, day = int(fields[0]), int(fields[1]), int(fields[2])
     hh, mm = fields[3].strip().split(":")
-    return Observation(
+    rainfall = float(fields[8])
+    obs = Observation(
         timestamp=datetime(year, month, day, int(hh), int(mm)),
         temperature=float(fields[4]),
         wind_speed=float(fields[5]),
         humidity=float(fields[6]),
         pressure=float(fields[7]),
-        rain=int(float(fields[8]) != 0.0),
+        rain=int(rainfall != 0.0),
     )
+    if not math.isfinite(rainfall):
+        raise ValueError(f"rainfall {rainfall} is not finite")
+    return obs
 
 
 def _indian_reader(lines):
@@ -357,7 +365,7 @@ def _indian_columns(body):
         & (1 <= day) & (day <= month_days)
         & ((0 <= digits) & (digits <= 9)).all(axis=1)
         & (codes[:, 2] == ord(":")) & (codes[:, 5] == 0) & (hh <= 23) & (mm <= 59)
-        & np.isfinite(t) & np.isfinite(w) & np.isfinite(p)
+        & np.isfinite(t) & np.isfinite(w) & np.isfinite(p) & np.isfinite(rain)
         & (0.0 <= hm) & (hm <= 100.0) & (p > 0.0)
     )
     if not ok.all():
@@ -450,22 +458,18 @@ def _parse_kaggle(tables, city):
     stamps = []
     values = []
     for ts in sorted(shared):
-        # strptime dominates here, so each hour is checked as an Observation
+        # each reading is checked on its own, so a bad one names its table
+        # and that table's line
+        for p in READINGS:
+            value, line_no = parsed[p][ts]
+            try:
+                _check_reading(p, value)
+            except ValueError as exc:
+                raise MalformedRow(line_no, f"{p}: {exc}") from None
+            values.append(value)
         description = parsed["weather_description"][ts][0].lower()
-        try:
-            obs = Observation(
-                timestamp=ts,
-                temperature=parsed["temperature"][ts][0],
-                wind_speed=parsed["wind_speed"][ts][0],
-                humidity=parsed["humidity"][ts][0],
-                pressure=parsed["pressure"][ts][0],
-                rain=int(any(k in description for k in RAIN_KEYWORDS)),
-            )
-        except ValueError as exc:
-            line_no = parsed["temperature"][ts][1]
-            raise MalformedRow(line_no, str(exc)) from None
+        values.append(float(any(k in description for k in RAIN_KEYWORDS)))
         stamps.append(_epoch_seconds(ts))
-        values.extend(obs.features())
     return _finish_series(stamps, values)
 
 

@@ -53,6 +53,33 @@ def conv1d_reference(x, kernel, bias, padding="valid"):
     return y
 
 
+def formula_param_count(kind, **hp):
+    """Closed-form trainable-parameter count for a layer kind.
+
+    dense: in*out + out; lstm: 4H(d+H+1); bilstm doubles that;
+    conv1d: C_out*(k*C_in + 1); activation/pool/dropout layers: 0.
+    Cross-checked against the sizes of the stored arrays.
+    """
+    if kind == "dense":
+        return hp["in_dim"] * hp["out_dim"] + hp["out_dim"]
+    if kind == "lstm":
+        h = hp["hidden_size"]
+        return 4 * h * (hp["in_dim"] + h + 1)
+    if kind == "bilstm":
+        h = hp["hidden_size"]
+        return 2 * 4 * h * (hp["in_dim"] + h + 1)
+    if kind == "conv1d":
+        return hp["out_channels"] * (hp["kernel_size"] * hp["in_channels"] + 1)
+    if kind in ("relu", "sigmoid", "maxpool1d", "gap1d", "dropout"):
+        return 0
+    raise ValueError(f"unknown layer kind {kind!r}")
+
+
+def model_param_count(layer_specs):
+    """Total count over (kind, hyperparams) pairs."""
+    return sum(formula_param_count(kind, **hp) for kind, hp in layer_specs)
+
+
 def signed_zero_input(rng, shape):
     """Standard normal values with about a tenth of the entries set to an
     exact 0.0 and another tenth to -0.0."""

@@ -10,7 +10,7 @@ import pytest
 
 from nowcast import cli, pipeline, synthetic, training
 from nowcast.cli import main
-from nowcast.nn import load_model
+from nowcast.nn import layers, load_model
 
 
 @pytest.fixture(scope="module")
@@ -481,6 +481,30 @@ class TestGrid:
         ])
         assert code == 0
         assert sorted(p.read_text() for p in seen.iterdir()) == ["1", "1"]
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork", reason="workers must inherit the stub"
+    )
+    def test_pooled_cells_run_one_conv_thread(self, csv_1000h, tmp_path, monkeypatch):
+        # the workers are forked from a process whose conv may take 3 threads
+        monkeypatch.setattr(layers, "CONV_THREADS", 3)
+        seen = tmp_path / "seen"
+        seen.mkdir()
+
+        def stub(spec, train, test=None):
+            (seen / f"L{train.config.lookback}").write_text(str(layers.conv_threads()))
+            return None, training.TrainLog()
+
+        monkeypatch.setattr(training, "run", stub)
+        monkeypatch.setenv("NOWCAST_THREADS", "2")
+        code = main([
+            "grid", "--input", csv_1000h, "--months", "all",
+            "--lookbacks", "6,7", "--horizons", "1", "--models", "cnn",
+            "--epochs", "1", "--out", str(tmp_path / "grid"),
+        ])
+        assert code == 0
+        assert sorted(p.read_text() for p in seen.iterdir()) == ["1", "1"]
+        assert layers.conv_threads() == 3  # the calling process keeps its count
 
 
 class TestUsage:

@@ -1,5 +1,8 @@
 """Forward-pass correctness of every layer against independent oracles."""
 
+import multiprocessing
+import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,8 +11,10 @@ import pytest
 from helpers import (
     bilstm_halves,
     conv1d_reference,
+    formula_param_count,
     lstm_reference,
     make_model,
+    model_param_count,
     signed_zero_input,
 )
 
@@ -27,13 +32,9 @@ from nowcast.nn import (
     ReLU,
     Sigmoid,
     layer_from_hyperparams,
+    layers,
 )
-from nowcast.nn.layers import (
-    CONV_CHUNK_ELEMENTS,
-    formula_param_count,
-    model_param_count,
-    sigmoid,
-)
+from nowcast.nn.layers import CONV_CHUNK_ELEMENTS, sigmoid
 
 
 class TestDense:
@@ -446,6 +447,95 @@ class TestConv1DPackageShapes:
         assert np.signbit(want[:, :2]).all()
         assert not np.signbit(got).any()
         assert np.array_equal(got[:, 2].view(np.uint64), want[:, 2].view(np.uint64))
+
+
+def conv_passes(layer, x, dy):
+    """Eval forward, train forward, input gradient and both parameter
+    gradients of one Conv1D pass, from zeroed gradients."""
+    layer.zero_grads()
+    y_eval = layer.forward(x)
+    y_train = layer.forward(x, train=True)
+    dx = layer.backward(dy)
+    return y_eval, y_train, dx, layer.grads["kernel"].copy(), layer.grads["bias"].copy()
+
+
+def threaded_conv_cases():
+    """Every Conv1D of build_cnn_model at lookbacks 12 and 24 with the length
+    it is fed, plus one small layer per padding."""
+    cases = []
+    for lookback in (12, 24):
+        model = build_cnn_model("flat", lookback=lookback, features=5)
+        shapes = [model.input_shape] + model.output_shapes()
+        for i, (layer, shape) in enumerate(zip(model.layers, shapes)):
+            if layer.kind == "conv1d":
+                cases.append(pytest.param(layer, shape[0], id=f"flat{lookback}-{i}"))
+    for padding in ("valid", "same"):
+        layer = Conv1D(3, 5, 4, padding=padding, rng=np.random.default_rng(7))
+        cases.append(pytest.param(layer, 19, id=f"small-{padding}"))
+    return cases
+
+
+class TestConv1DThreads:
+    """The thread count never changes a bit: every pass at 2 and 3 threads
+    equals the one-thread pass under a uint64 view. The count is forced, so
+    the cases run on a one-core machine too."""
+
+    @pytest.mark.parametrize("layer, L", threaded_conv_cases())
+    def test_every_pass_matches_one_thread_bitwise(self, layer, L, monkeypatch):
+        rng = np.random.default_rng(layer.kernel_size * L + layer.out_channels)
+        layer.params["bias"][...] = rng.standard_normal(layer.out_channels)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so a race would show
+        try:
+            for B in (0, 1, 2, 3, 31, 32, 33, 513):
+                x = signed_zero_input(rng, (B, L, layer.in_channels))
+                Lo = layer.forward(x[:0]).shape[1]
+                dy = signed_zero_input(rng, (B, Lo, layer.out_channels))
+                monkeypatch.setattr(layers, "CONV_THREADS", 1)
+                want = conv_passes(layer, x, dy)
+                for threads in (2, 3):
+                    monkeypatch.setattr(layers, "CONV_THREADS", threads)
+                    got = conv_passes(layer, x, dy)
+                    for name, g, w in zip(("eval", "train", "dx", "dkernel", "dbias"), got, want):
+                        assert np.array_equal(g.view(np.uint64), w.view(np.uint64)), (
+                            B, threads, name)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_no_pool_for_a_build_or_a_single_share(self, monkeypatch):
+        monkeypatch.setattr(layers, "_pool", (None, 0, None))
+        monkeypatch.setattr(layers, "CONV_THREADS", 3)
+        build_cnn_model("flat", lookback=24, features=5)  # zero-row forwards
+        Conv1D(2, 3, 2).forward(np.ones((1, 5, 2)))
+        assert layers._pool == (None, 0, None)
+        Conv1D(2, 3, 2).forward(np.ones((2, 5, 2)))
+        assert layers._pool[:2] == (os.getpid(), 1)
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+    )
+    def test_forked_child_makes_its_own_pool(self, monkeypatch):
+        monkeypatch.setattr(layers, "CONV_THREADS", 2)
+        layer = Conv1D(3, 4, 3, rng=np.random.default_rng(3))
+        x = np.random.default_rng(4).standard_normal((8, 16, 3))
+        want = layer.forward(x)  # the parent's pool exists from here on
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+
+        def child():
+            y = layer.forward(x)
+            send.send((layers._pool[0] == os.getpid(), y))
+
+        proc = ctx.Process(target=child)
+        proc.start()
+        try:
+            assert recv.poll(60), "the forked child's conv did not finish"
+            own_pool, got = recv.recv()
+        finally:
+            proc.kill()
+            proc.join()
+        assert own_pool
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestPooling:

@@ -235,6 +235,17 @@ class TestBinarizeRain:
             series = parse(io.StringIO(text))
             assert series.values[:, pipeline.RAIN_INDEX].tolist() == [1, 0, 1, 0, 1]
 
+    def test_non_finite_rainfall_is_a_malformed_row(self):
+        # README: a nan or inf reading stops the parse with its line number
+        text = RAW_SAMPLE.splitlines()[0] + "".join(
+            f"\n2010,7,15,{i:02d}:00,27,13,84,1004,{r}" for i, r in enumerate(["nan", "inf"])
+        )
+        for parse in (parse_raw_csv, _parse_indian_rows):
+            with pytest.raises(MalformedRow) as exc_info:
+                parse(io.StringIO(text))
+            assert exc_info.value.line_no == 2
+            assert str(exc_info.value).endswith("rainfall nan is not finite")
+
     def test_clear_sky_is_dry(self):
         assert kaggle_rain(["sky is clear"]) == [0]
 
@@ -332,6 +343,20 @@ class TestParseKaggle:
         with pytest.raises(MalformedRow) as exc_info:
             parse_raw_csv(tables, schema="kaggle_city", city="Rainville")
         assert exc_info.value.line_no == 2
+
+    def test_bad_reading_names_its_own_table_and_line(self):
+        tables = kaggle_tables(4)
+        text = tables["humidity"].getvalue().split("\n")
+        text[1] = text[1].rsplit(",", 1)[0] + ",120"  # first data row: file line 2
+        tables["humidity"] = io.StringIO("\n".join(text))
+        header, *rows = tables["temperature"].getvalue().splitlines()
+        tables["temperature"] = io.StringIO("\n".join([header] + rows[::-1]))
+        with pytest.raises(MalformedRow) as exc_info:
+            parse_raw_csv(tables, schema="kaggle_city", city="Rainville")
+        assert exc_info.value.line_no == 2
+        assert str(exc_info.value) == (
+            "unparseable row at line 2: humidity: humidity 120.0 outside [0, 100]"
+        )
 
 
 def as_source(text, kind, path):

@@ -187,9 +187,9 @@ def test_parse_sorts_and_dedupes_like_the_reference(rows):
 EDGE_ROWS = {
     "columnar": [
         "2016,2,29,23:59,-0.0,0.0,100,1e-300,-0.0",   # leap day, -0.0, edge readings
-        "2000,02,29,00:00,1e308,5e-324,0,1e308,nan",  # leap century, nan rain is wet
-        "1,1,1,00:00,-1e308,1,0.5,1,inf",             # the first day a date can hold
-        "9999,12,31,23:59,1,1,1,1,-inf",              # and the last
+        "2000,02,29,00:00,1e308,5e-324,0,1e308,5e-324",  # leap century, tiny rain is wet
+        "1,1,1,00:00,-1e308,1,0.5,1,1e308",             # the first day a date can hold
+        "9999,12,31,23:59,1,1,1,1,-1e308",              # and the last
         " +2015 , 007 ,\t9 ,12:30, 28.6 ,\t14.6\t,60,1005,0",  # padded and signed fields
         "",                                            # blank line
     ],
@@ -234,6 +234,9 @@ EDGE_ROWS = {
         "2014,1,1,07:05,28.6,14.6,60.0,1005.0,rain",
         "2014,1,1,:05,28.6,14.6,60.0,1005.0,1",
         "2014,1,1,07:05:00,28.6,14.6,60.0,1005.0,1",
+        "2014,1,1,07:05,28.6,14.6,60.0,1005.0,nan",     # rain must be finite
+        "2014,1,1,07:05,28.6,14.6,60.0,1005.0,inf",
+        "2014,1,1,07:05,28.6,14.6,60.0,1005.0,-inf",
     ],
 }
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
